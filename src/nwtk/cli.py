@@ -64,13 +64,7 @@ _ALPHABET_OPTION = click.option(
 
 
 @click.group()
-@click.option(
-    "--threads",
-    type=click.IntRange(min=1),
-    default=1,
-    help="Upper bound on internal parallelism; commands may use fewer.",
-)
-def main(threads):
+def main():
     """Nested-word toolkit: matching, automata, spheres, logic, grids."""
 
 

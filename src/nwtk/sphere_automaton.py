@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .core import RETURN
 from .errors import InvalidState, LengthMismatch
-from .spheres import Sphere, sphere, sphere_key
+from .spheres import Sphere, _bfs, _word_neighbours, sphere, sphere_key
 
 __all__ = [
     "ExtendedSphere",
@@ -134,6 +134,31 @@ def _require_valid(*states):
             raise InvalidState("a state violates the membership conditions")
 
 
+def _moves_land(src, edge, nxt, r) -> bool:
+    """Every member of ``src`` moves its active node along ``edge`` into ``nxt``.
+
+    ``edge`` is "so" (conditions (5), (7), (3)) or "mo" (the primed ones).
+    """
+    nxt_keys = nxt.key
+    nxt_groups = nxt.core_groups
+    for e in src.members:
+        u = getattr(e, edge)
+        if u is None:
+            if e.dist != r:  # (5)
+                return False
+            u_idx = -1
+        else:
+            if e.key_at(u) not in nxt_keys:  # (7)
+                return False
+            u_idx = e.core.index_of[u]
+        idxs = nxt_groups.get((e.core.key, e.color))
+        if idxs:  # (3)
+            for ai in idxs:
+                if ai != u_idx:
+                    return False
+    return True
+
+
 def delta_allows(prev, matched, symbol, nxt, alphabet=None) -> bool:
     """Whether the automaton permits the step prev -> nxt reading ``symbol``.
 
@@ -145,86 +170,30 @@ def delta_allows(prev, matched, symbol, nxt, alphabet=None) -> bool:
         return False
     if nxt.label != symbol:  # (2)
         return False
+    if matched is not None:
+        if alphabet is not None and alphabet.classify(symbol).kind != RETURN:
+            return False
+        if not prev.members or not matched.members:
+            return False
     r = nxt.members[0].core.radius
-    if matched is None:
-        prev_nonempty = bool(prev.members)
-        for e2 in nxt.members:
-            if e2.mi is not None:  # (1)
-                return False
-            if e2.si is None:
-                if prev_nonempty and e2.dist != r:  # (4)
-                    return False
-            elif e2.key_at(e2.si) not in prev.key:  # (6)
-                return False
-        nxt_groups = nxt.core_groups
-        nxt_keys = nxt.key
-        for e in prev.members:
-            so = e.so
-            if so is None:
-                if e.dist != r:  # (5)
-                    return False
-                so_idx = -1
-            else:
-                if e.key_at(so) not in nxt_keys:  # (7)
-                    return False
-                so_idx = e.core.index_of[so]
-            idxs = nxt_groups.get((e.core.key, e.color))
-            if idxs:  # (3)
-                for ai in idxs:
-                    if ai != so_idx:
-                        return False
-        return True
-
-    # matched-return step
-    if alphabet is not None and alphabet.classify(symbol).kind != RETURN:
-        return False
-    if not prev.members or not matched.members:
-        return False
-    mat_keys = matched.key
+    prev_nonempty = bool(prev.members)
     for e2 in nxt.members:
         if e2.si is None:
-            if e2.dist != r:  # (4)
+            if prev_nonempty and e2.dist != r:  # (4)
                 return False
         elif e2.key_at(e2.si) not in prev.key:  # (6)
             return False
-        if e2.mi is None:
+        if matched is None:
+            if e2.mi is not None:  # (1)
+                return False
+        elif e2.mi is None:
             if e2.dist != r:  # (4')
                 return False
-        elif e2.key_at(e2.mi) not in mat_keys:  # (6')
+        elif e2.key_at(e2.mi) not in matched.key:  # (6')
             return False
-    nxt_groups = nxt.core_groups
-    nxt_keys = nxt.key
-    for e in prev.members:
-        so = e.so
-        if so is None:
-            if e.dist != r:  # (5)
-                return False
-            so_idx = -1
-        else:
-            if e.key_at(so) not in nxt_keys:  # (7)
-                return False
-            so_idx = e.core.index_of[so]
-        idxs = nxt_groups.get((e.core.key, e.color))
-        if idxs:  # (3)
-            for ai in idxs:
-                if ai != so_idx:
-                    return False
-    for e in matched.members:
-        mo = e.mo
-        if mo is None:
-            if e.dist != r:  # (5')
-                return False
-            mo_idx = -1
-        else:
-            if e.key_at(mo) not in nxt_keys:  # (7')
-                return False
-            mo_idx = e.core.index_of[mo]
-        idxs = nxt_groups.get((e.core.key, e.color))
-        if idxs:  # (3')
-            for ai in idxs:
-                if ai != mo_idx:
-                    return False
-    return True
+    return _moves_land(prev, "so", nxt, r) and (
+        matched is None or _moves_land(matched, "mo", nxt, r)
+    )
 
 
 PLACEHOLDER_SPHERE = Sphere((0,), {0: ""}, (), (), 0, 0)
@@ -256,33 +225,19 @@ class OverlapColoring:
 
 
 def _overlap_adjacency(word, r, keys):
-    """Overlap neighbors per position, via bounded-depth reachability."""
-    n = len(word)
+    """Overlap neighbors per position: equal keys within distance 2r+1."""
     groups: dict = {}
-    for i in range(1, n + 1):
-        groups.setdefault(keys[i - 1], []).append(i)
-    adj = {i: [] for i in range(1, n + 1)}
-    limit = 2 * r + 1
-    neighbors = word.neighbors
-    for key, group in groups.items():
+    for i, key in enumerate(keys, 1):
+        groups.setdefault(key, []).append(i)
+    adj = {i: [] for i in word.positions()}
+    neighbours = _word_neighbours(word)
+    for group in groups.values():
         if len(group) < 2:
             continue
         gset = set(group)
         for i in group:
-            seen = {i}
-            frontier = [i]
-            near = []
-            for _ in range(limit):
-                nxt = []
-                for v in frontier:
-                    for u in neighbors(v):
-                        if u not in seen:
-                            seen.add(u)
-                            nxt.append(u)
-                            if u in gset:
-                                near.append(u)
-                frontier = nxt
-            adj[i] = near
+            order, _ = _bfs(i, neighbours, 2 * r + 1)
+            adj[i] = [u for u in order[1:] if u in gset]
     return adj
 
 

@@ -10,6 +10,14 @@ expands edge kinds in a fixed order visits nodes in an order any
 isomorphic sphere reproduces exactly.  That order yields a canonical
 form in linear time; no search over bijections is needed, and the
 traversal level of a node is its distance from the center.
+
+The same traversal serves a word and a sphere cut out of it.  Every
+shortest path from the center to a node within distance r stays inside
+the radius-r ball, so a search over the whole word that stops at depth r
+discovers the ball's nodes from the same parents, in the same order, as
+the search over the induced sphere.  The canonical key of a sphere is
+therefore read off one bounded pass over the word, without building the
+sphere first.
 """
 
 from __future__ import annotations
@@ -38,6 +46,39 @@ def max_size_bound(radius: int) -> int:
     return 1 + 3 * (2**radius - 1)
 
 
+def _bfs(center, neighbours, limit: int):
+    """Nodes within ``limit`` of ``center`` in visiting order, and their distances.
+
+    ``neighbours(v)`` gives the successor-out, successor-in, matching-out
+    and matching-in neighbour of v, None where that edge is absent; this
+    fixed order makes the visiting order canonical.
+    """
+    order = [center]
+    dist = {center: 0}
+    for v in order:  # also reaches the nodes appended below
+        d = dist[v] + 1
+        if d > limit:
+            break
+        for u in neighbours(v):
+            if u is not None and u not in dist:
+                dist[u] = d
+                order.append(u)
+    return order, dist
+
+
+def _word_neighbours(word):
+    """``neighbours`` for ``_bfs`` over the positions of a word."""
+    n = len(word.labels)
+    mu = word.mu
+    mu_inv = word.mu_inv
+    return lambda v: (
+        v + 1 if v < n else None,
+        v - 1 if v > 1 else None,
+        mu.get(v),
+        mu_inv.get(v),
+    )
+
+
 class Sphere:
     """An induced neighborhood with a distinguished center.
 
@@ -53,7 +94,6 @@ class Sphere:
         "mu",
         "center",
         "radius",
-        "verified",
         "succ_out",
         "succ_in",
         "mu_out",
@@ -63,7 +103,7 @@ class Sphere:
         "key",
     )
 
-    def __init__(self, nodes, labels, succ, mu, center, radius, verified=False):
+    def __init__(self, nodes, labels, succ, mu, center, radius):
         nodes = tuple(sorted(nodes))
         node_set = set(nodes)
         if center not in node_set:
@@ -101,29 +141,23 @@ class Sphere:
             raise InvalidSphere("labels must cover exactly the node set")
 
         # canonical traversal; doubles as the connectivity and radius check
-        order = [center]
-        index_of = {center: 0}
-        dist = {center: 0}
-        head = 0
-        while head < len(order):
-            v = order[head]
-            head += 1
-            d = dist[v] + 1
-            for u in (
+        def neighbours(v):
+            mo = mu_out.get(v)
+            mi = mu_in.get(v)
+            return (
                 succ_out.get(v),
                 succ_in.get(v),
-                (mu_out[v][0] if v in mu_out else None),
-                (mu_in[v][0] if v in mu_in else None),
-            ):
-                if u is not None and u not in index_of:
-                    index_of[u] = len(order)
-                    dist[u] = d
-                    order.append(u)
+                mo[0] if mo else None,
+                mi[0] if mi else None,
+            )
+
+        order, dist = _bfs(center, neighbours, len(nodes))
         if len(order) != len(nodes):
             raise InvalidSphere("sphere is not connected to its center")
         if dist[order[-1]] > radius:
             raise InvalidSphere("a node lies farther from the center than the radius")
 
+        index_of = dict(zip(order, range(len(order))))
         edges = sorted(
             [(index_of[i], index_of[j], 0) for i, j in succ]
             + [(index_of[i], index_of[j], s) for i, j, s in mu]
@@ -134,18 +168,13 @@ class Sphere:
         self.mu = mu
         self.center = center
         self.radius = radius
-        self.verified = verified
         self.succ_out = succ_out
         self.succ_in = succ_in
         self.mu_out = mu_out
         self.mu_in = mu_in
         self.index_of = index_of
         self.dist = dist
-        self.key = (
-            radius,
-            tuple(labels[v] for v in order),
-            tuple(edges),
-        )
+        self.key = (radius, tuple([labels[v] for v in order]), tuple(edges))
 
     def size(self) -> int:
         return len(self.nodes)
@@ -155,95 +184,53 @@ class Sphere:
         return f"Sphere(r={self.radius}, center={self.center}, {parts})"
 
 
-def sphere(word, i: int, r: int) -> Sphere:
-    """Extract the radius-r sphere of a word around position i."""
-    n = len(word)
+def _ball(word, i: int, r: int):
+    """Canonical order and distances of the radius-r ball around position i."""
+    n = len(word.labels)
     if not 1 <= i <= n:
         raise PositionOutOfRange(f"position {i} not in 1..{n}")
+    if r < 0:
+        raise InvalidSphere("radius must be non-negative")
+    return _bfs(i, _word_neighbours(word), r)
+
+
+def sphere(word, i: int, r: int) -> Sphere:
+    """Extract the radius-r sphere of a word around position i."""
+    order, dist = _ball(word, i, r)
+    labels = word.labels
     mu = word.mu
-    mu_inv = word.mu_inv
-    dist = {i: 0}
-    frontier = [i]
-    for d in range(1, r + 1):
-        nxt = []
-        for v in frontier:
-            if v > 1 and v - 1 not in dist:
-                dist[v - 1] = d
-                nxt.append(v - 1)
-            if v < n and v + 1 not in dist:
-                dist[v + 1] = d
-                nxt.append(v + 1)
-            p = mu.get(v)
-            if p is None:
-                p = mu_inv.get(v)
-            if p is not None and p not in dist:
-                dist[p] = d
-                nxt.append(p)
-        frontier = nxt
-    nodes = dist.keys()
-    labels = {v: word.labels[v - 1] for v in nodes}
-    succ = [(v, v + 1) for v in nodes if v + 1 in dist]
-    mu_edges = [
-        (v, mu[v], word.stack_of[v]) for v in nodes if v in mu and mu[v] in dist
-    ]
-    return Sphere(nodes, labels, succ, mu_edges, i, r, verified=True)
+    stack_of = word.stack_of
+    return Sphere(
+        order,
+        {v: labels[v - 1] for v in order},
+        [(v, v + 1) for v in order if v + 1 in dist],
+        [(v, mu[v], stack_of[v]) for v in order if mu.get(v) in dist],
+        i,
+        r,
+    )
 
 
 def sphere_key(word, i: int, r: int):
     """Canonical key of ``sphere(word, i, r)`` without building the object.
 
-    Equal keys mean isomorphic spheres; the traversal and edge encoding
-    mirror the ``Sphere`` constructor exactly.
+    Equal keys mean isomorphic spheres; the edge encoding mirrors the
+    ``Sphere`` constructor exactly.
     """
-    n = len(word)
-    if not 1 <= i <= n:
-        raise PositionOutOfRange(f"position {i} not in 1..{n}")
-    if r < 0:
-        raise InvalidSphere("radius must be non-negative")
+    order, _ = _ball(word, i, r)
+    index_of = dict(zip(order, range(len(order))))
     mu = word.mu
-    mu_inv = word.mu_inv
-    dist = {i: 0}
-    frontier = [i]
-    for d in range(1, r + 1):
-        nxt = []
-        for v in frontier:
-            u = v - 1
-            if v > 1 and u not in dist:
-                dist[u] = d
-                nxt.append(u)
-            u = v + 1
-            if v < n and u not in dist:
-                dist[u] = d
-                nxt.append(u)
-            p = mu.get(v)
-            if p is None:
-                p = mu_inv.get(v)
-            if p is not None and p not in dist:
-                dist[p] = d
-                nxt.append(p)
-        frontier = nxt
-    order = [i]
-    index_of = {i: 0}
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for u in (v + 1, v - 1, mu.get(v), mu_inv.get(v)):
-            if u is not None and u in dist and u not in index_of:
-                index_of[u] = len(order)
-                order.append(u)
-    labels = word.labels
     stack_of = word.stack_of
     edges = []
-    for v in dist:
-        u = v + 1
-        if u in dist:
-            edges.append((index_of[v], index_of[u], 0))
-        u = mu.get(v)
-        if u is not None and u in dist:
-            edges.append((index_of[v], index_of[u], stack_of[v]))
+    for k, v in enumerate(order):
+        j = index_of.get(v + 1)
+        if j is not None:
+            edges.append((k, j, 0))
+        j = index_of.get(mu.get(v))
+        if j is not None:
+            edges.append((k, j, stack_of[v]))
     edges.sort()
-    return (r, tuple(labels[v - 1] for v in order), tuple(edges))
+    labels = word.labels
+    return (r, tuple([labels[v - 1] for v in order]), tuple(edges))
 
 
 def sphere_iso(a: Sphere, b: Sphere) -> bool:
@@ -289,15 +276,43 @@ def sphere_to_json(s: Sphere) -> dict:
     }
 
 
+def _int_rows(data, field, width):
+    rows = data[field]
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list)
+        and len(row) == width
+        and all(type(x) is int for x in row)
+        for row in rows
+    ):
+        raise InvalidSphere(f'"{field}" must be a list of {width}-integer rows')
+    return [tuple(row) for row in rows]
+
+
 def sphere_from_json(data) -> Sphere:
+    """Read a sphere as written by ``sphere_to_json``; schema errors raise InvalidSphere."""
     if isinstance(data, str):
         data = json.loads(data)
-    labels = {entry["id"]: entry["label"] for entry in data["nodes"]}
+    if not isinstance(data, dict):
+        raise InvalidSphere("a sphere must be a JSON object")
+    missing = {"nodes", "succ", "match", "center", "radius"} - data.keys()
+    if missing:
+        raise InvalidSphere(f"sphere lacks {', '.join(sorted(missing))}")
+    nodes = data["nodes"]
+    if not isinstance(nodes, list) or not all(
+        isinstance(e, dict) and type(e.get("id")) is int and isinstance(e.get("label"), str)
+        for e in nodes
+    ):
+        raise InvalidSphere('"nodes" must be a list of {"id": int, "label": str}')
+    if type(data["center"]) is not int or type(data["radius"]) is not int:
+        raise InvalidSphere('"center" and "radius" must be integers')
+    labels = {e["id"]: e["label"] for e in nodes}
+    if len(labels) != len(nodes):
+        raise InvalidSphere("node ids must be distinct")
     return Sphere(
         labels.keys(),
         labels,
-        [tuple(e) for e in data["succ"]],
-        [tuple(e) for e in data["match"]],
+        _int_rows(data, "succ", 2),
+        _int_rows(data, "match", 3),
         data["center"],
         data["radius"],
     )

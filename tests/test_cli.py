@@ -163,6 +163,64 @@ class TestSphereRun:
         assert lines[0].startswith("position 1: members=")
         assert lines[-1] == "verified: true"
 
+    # the canonical active= indices of the running example at radius 1
+    WORD10_R1 = (
+        'position 1: members=3 final=false calling=true\n'
+        '  color=1 active=0 sphere={"center":1,"match":[[1,6,1]],"nodes":[{"id":1,"label":"a"},{"id":2,"label":"b"},{"id":6,"label":"a~"}],"radius":1,"succ":[[1,2]]}\n'
+        '  color=1 active=3 sphere={"center":6,"match":[[1,6,1]],"nodes":[{"id":1,"label":"a"},{"id":5,"label":"a~"},{"id":6,"label":"a~"},{"id":7,"label":"a~"}],"radius":1,"succ":[[5,6],[6,7]]}\n'
+        '  color=1 active=2 sphere={"center":2,"match":[[2,9,2]],"nodes":[{"id":1,"label":"a"},{"id":2,"label":"b"},{"id":3,"label":"a"},{"id":9,"label":"b~"}],"radius":1,"succ":[[1,2],[2,3]]}\n'
+        'position 2: members=4 final=false calling=true\n'
+        '  color=1 active=1 sphere={"center":1,"match":[[1,6,1]],"nodes":[{"id":1,"label":"a"},{"id":2,"label":"b"},{"id":6,"label":"a~"}],"radius":1,"succ":[[1,2]]}\n'
+        '  color=1 active=2 sphere={"center":3,"match":[[3,5,1]],"nodes":[{"id":2,"label":"b"},{"id":3,"label":"a"},{"id":4,"label":"b"},{"id":5,"label":"a~"}],"radius":1,"succ":[[2,3],[3,4],[4,5]]}\n'
+        '  color=1 active=0 sphere={"center":2,"match":[[2,9,2]],"nodes":[{"id":1,"label":"a"},{"id":2,"label":"b"},{"id":3,"label":"a"},{"id":9,"label":"b~"}],"radius":1,"succ":[[1,2],[2,3]]}\n'
+        '  color=1 active=3 sphere={"center":9,"match":[[2,9,2]],"nodes":[{"id":2,"label":"b"},{"id":8,"label":"b~"},{"id":9,"label":"b~"},{"id":10,"label":"b~"}],"radius":1,"succ":[[8,9],[9,10]]}\n'
+        'position 3: members=4 final=false calling=true\n'
+        '  color=1 active=0 sphere={"center":3,"match":[[3,5,1]],"nodes":[{"id":2,"label":"b"},{"id":3,"label":"a"},{"id":4,"label":"b"},{"id":5,"label":"a~"}],"radius":1,"succ":[[2,3],[3,4],[4,5]]}\n'
+        '  color=1 active=3 sphere={"center":5,"match":[[3,5,1]],"nodes":[{"id":3,"label":"a"},{"id":4,"label":"b"},{"id":5,"label":"a~"},{"id":6,"label":"a~"}],"radius":1,"succ":[[3,4],[4,5],[5,6]]}\n'
+        '  color=1 active=1 sphere={"center":2,"match":[[2,9,2]],"nodes":[{"id":1,"label":"a"},{"id":2,"label":"b"},{"id":3,"label":"a"},{"id":9,"label":"b~"}],"radius":1,"succ":[[1,2],[2,3]]}\n'
+        '  color=1 active=2 sphere={"center":4,"match":[[3,5,1],[4,8,2]],"nodes":[{"id":3,"label":"a"},{"id":4,"label":"b"},{"id":5,"label":"a~"},{"id":8,"label":"b~"}],"radius":1,"succ":[[3,4],[4,5]]}\n'
+        'position 4: members=4 final=false calling=true\n'
+        '  color=1 active=1 sphere={"center":3,"match":[[3,5,1]],"nodes":[{"id":2,"label":"b"},{"id":3,"label":"a"},{"id":4,"label":"b"},{"id":5,"label":"a~"}],"radius":1,"succ":[[2,3],[3,4],[4,5]]}\n'
+        '  color=1 active=2 sphere={"center":5,"match":[[3,5,1]],"nodes":[{"id":3,"label":"a"},{"id":4,"label":"b"},{"id":5,"label":"a~"},{"id":6,"label":"a~"}],"radius":1,"succ":[[3,4],[4,5],[5,6]]}\n'
+        '  color=1 active=0 sphere={"center":4,"match":[[3,5,1],[4,8,2]],"nodes":[{"id":3,"label":"a"},{"id":4,"label":"b"},{"id":5,"label":"a~"},{"id":8,"label":"b~"}],"radius":1,"succ":[[3,4],[4,5]]}\n'
+        '  color=1 active=3 sphere={"center":8,"match":[[4,8,2]],"nodes":[{"id":4,"label":"b"},{"id":7,"label":"a~"},{"id":8,"label":"b~"},{"id":9,"label":"b~"}],"radius":1,"succ":[[7,8],[8,9]]}\n'
+        'position 5: members=4 final=false calling=false\n'
+        '  color=1 active=3 sphere={"center":3,"match":[[3,5,1]],"nodes":[{"id":2,"label":"b"},{"id":3,"label":"a"},{"id":4,"label":"b"},{"id":5,"label":"a~"}],"radius":1,"succ":[[2,3],[3,4],[4,5]]}\n'
+        '  color=1 active=2 sphere={"center":6,"match":[[1,6,1]],"nodes":[{"id":1,"label":"a"},{"id":5,"label":"a~"},{"id":6,"label":"a~"},{"id":7,"label":"a~"}],"radius":1,"succ":[[5,6],[6,7]]}\n'
+        '  color=1 active=0 sphere={"center":5,"match":[[3,5,1]],"nodes":[{"id":3,"label":"a"},{"id":4,"label":"b"},{"id":5,"label":"a~"},{"id":6,"label":"a~"}],"radius":1,"succ":[[3,4],[4,5],[5,6]]}\n'
+        '  color=1 active=1 sphere={"center":4,"match":[[3,5,1],[4,8,2]],"nodes":[{"id":3,"label":"a"},{"id":4,"label":"b"},{"id":5,"label":"a~"},{"id":8,"label":"b~"}],"radius":1,"succ":[[3,4],[4,5]]}\n'
+        'position 6: members=4 final=false calling=false\n'
+        '  color=1 active=2 sphere={"center":1,"match":[[1,6,1]],"nodes":[{"id":1,"label":"a"},{"id":2,"label":"b"},{"id":6,"label":"a~"}],"radius":1,"succ":[[1,2]]}\n'
+        '  color=1 active=0 sphere={"center":6,"match":[[1,6,1]],"nodes":[{"id":1,"label":"a"},{"id":5,"label":"a~"},{"id":6,"label":"a~"},{"id":7,"label":"a~"}],"radius":1,"succ":[[5,6],[6,7]]}\n'
+        '  color=1 active=1 sphere={"center":5,"match":[[3,5,1]],"nodes":[{"id":3,"label":"a"},{"id":4,"label":"b"},{"id":5,"label":"a~"},{"id":6,"label":"a~"}],"radius":1,"succ":[[3,4],[4,5],[5,6]]}\n'
+        '  color=1 active=2 sphere={"center":7,"match":[],"nodes":[{"id":6,"label":"a~"},{"id":7,"label":"a~"},{"id":8,"label":"b~"}],"radius":1,"succ":[[6,7],[7,8]]}\n'
+        'position 7: members=3 final=false calling=false\n'
+        '  color=1 active=1 sphere={"center":6,"match":[[1,6,1]],"nodes":[{"id":1,"label":"a"},{"id":5,"label":"a~"},{"id":6,"label":"a~"},{"id":7,"label":"a~"}],"radius":1,"succ":[[5,6],[6,7]]}\n'
+        '  color=1 active=0 sphere={"center":7,"match":[],"nodes":[{"id":6,"label":"a~"},{"id":7,"label":"a~"},{"id":8,"label":"b~"}],"radius":1,"succ":[[6,7],[7,8]]}\n'
+        '  color=1 active=2 sphere={"center":8,"match":[[4,8,2]],"nodes":[{"id":4,"label":"b"},{"id":7,"label":"a~"},{"id":8,"label":"b~"},{"id":9,"label":"b~"}],"radius":1,"succ":[[7,8],[8,9]]}\n'
+        'position 8: members=4 final=false calling=false\n'
+        '  color=1 active=1 sphere={"center":7,"match":[],"nodes":[{"id":6,"label":"a~"},{"id":7,"label":"a~"},{"id":8,"label":"b~"}],"radius":1,"succ":[[6,7],[7,8]]}\n'
+        '  color=1 active=3 sphere={"center":4,"match":[[3,5,1],[4,8,2]],"nodes":[{"id":3,"label":"a"},{"id":4,"label":"b"},{"id":5,"label":"a~"},{"id":8,"label":"b~"}],"radius":1,"succ":[[3,4],[4,5]]}\n'
+        '  color=1 active=0 sphere={"center":8,"match":[[4,8,2]],"nodes":[{"id":4,"label":"b"},{"id":7,"label":"a~"},{"id":8,"label":"b~"},{"id":9,"label":"b~"}],"radius":1,"succ":[[7,8],[8,9]]}\n'
+        '  color=1 active=2 sphere={"center":9,"match":[[2,9,2]],"nodes":[{"id":2,"label":"b"},{"id":8,"label":"b~"},{"id":9,"label":"b~"},{"id":10,"label":"b~"}],"radius":1,"succ":[[8,9],[9,10]]}\n'
+        'position 9: members=4 final=false calling=false\n'
+        '  color=1 active=3 sphere={"center":2,"match":[[2,9,2]],"nodes":[{"id":1,"label":"a"},{"id":2,"label":"b"},{"id":3,"label":"a"},{"id":9,"label":"b~"}],"radius":1,"succ":[[1,2],[2,3]]}\n'
+        '  color=1 active=1 sphere={"center":10,"match":[],"nodes":[{"id":9,"label":"b~"},{"id":10,"label":"b~"}],"radius":1,"succ":[[9,10]]}\n'
+        '  color=1 active=1 sphere={"center":8,"match":[[4,8,2]],"nodes":[{"id":4,"label":"b"},{"id":7,"label":"a~"},{"id":8,"label":"b~"},{"id":9,"label":"b~"}],"radius":1,"succ":[[7,8],[8,9]]}\n'
+        '  color=1 active=0 sphere={"center":9,"match":[[2,9,2]],"nodes":[{"id":2,"label":"b"},{"id":8,"label":"b~"},{"id":9,"label":"b~"},{"id":10,"label":"b~"}],"radius":1,"succ":[[8,9],[9,10]]}\n'
+        'position 10: members=2 final=true calling=false\n'
+        '  color=1 active=0 sphere={"center":10,"match":[],"nodes":[{"id":9,"label":"b~"},{"id":10,"label":"b~"}],"radius":1,"succ":[[9,10]]}\n'
+        '  color=1 active=1 sphere={"center":9,"match":[[2,9,2]],"nodes":[{"id":2,"label":"b"},{"id":8,"label":"b~"},{"id":9,"label":"b~"},{"id":10,"label":"b~"}],"radius":1,"succ":[[8,9],[9,10]]}\n'
+        'verified: true\n'
+    )
+
+    def test_golden_running_example(self, files):
+        result = runner.invoke(
+            main, ["sphere-run", files("w.txt", WORD10), "--radius", "1"]
+        )
+        assert result.exit_code == 0
+        assert result.output == self.WORD10_R1
+
 
 class TestEval:
     FORMULA = "(forall x (exists y (or (match x y) (match y x))))"
@@ -227,6 +285,43 @@ class TestCompileCount:
     def test_exactly_one_input(self, expr_file):
         result = runner.invoke(main, ["compile-count", expr_file])
         assert result.exit_code == 2
+
+    GOOD = {
+        "nodes": [{"id": 1, "label": "a"}],
+        "succ": [],
+        "match": [],
+        "center": 1,
+        "radius": 0,
+    }
+
+    @pytest.mark.parametrize(
+        "sphere_data",
+        [
+            {k: v for k, v in GOOD.items() if k != "radius"},
+            [GOOD],
+            {**GOOD, "match": [[1]]},
+            {**GOOD, "radius": "0"},
+            {**GOOD, "nodes": GOOD["nodes"] * 2},
+        ],
+        ids=[
+            "missing-radius",
+            "top-level-list",
+            "short-match-row",
+            "string-radius",
+            "duplicate-id",
+        ],
+    )
+    def test_malformed_sphere(self, sphere_data, tmp_path, files):
+        write_json(tmp_path, "s.json", sphere_data)
+        (tmp_path / "c.txt").write_text("(count-gt s.json 0)\n", encoding="utf-8")
+        result = runner.invoke(
+            main,
+            ["compile-count", str(tmp_path / "c.txt"), "--word", files("w.txt", "a")],
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.output
 
 
 class TestGrid:
@@ -294,13 +389,3 @@ class TestCorpus:
         lines = result.output.splitlines()
         assert len(lines) == count
         assert set(lines[:4]) == {"a", "a~", "b", "b~"}
-
-    def test_threads_flag(self, alphabet_file):
-        result = runner.invoke(
-            main, ["--threads", "2", "corpus", alphabet_file, "--max-len", "1"]
-        )
-        assert result.exit_code == 0
-        result = runner.invoke(
-            main, ["--threads", "0", "corpus", alphabet_file, "--max-len", "1"]
-        )
-        assert result.exit_code == 2

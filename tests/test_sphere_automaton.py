@@ -1,8 +1,9 @@
 """States, transitions, coloring, and canonical runs of the sphere automaton."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nwtk.core import iter_token_tuples, nested
+from nwtk.core import distance, iter_token_tuples, nested
 from nwtk.errors import InvalidState, LengthMismatch
 from nwtk.sphere_automaton import (
     EMPTY_STATE,
@@ -16,9 +17,9 @@ from nwtk.sphere_automaton import (
     eta,
     state_predicates,
 )
-from nwtk.spheres import max_size_bound, sphere, sphere_iso
+from nwtk.spheres import max_size_bound, sphere, sphere_iso, sphere_key
 
-from fixtures import S2, word10, word16
+from fixtures import S2, S2C, S3, word10, word16
 
 
 def singleton_state(symbol, color=1):
@@ -123,6 +124,31 @@ class TestChiColoring:
                 bound = 4 * max_size_bound(r) ** 2
                 assert coloring.max_degree <= bound
                 assert coloring.num_colors <= bound + 1
+
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from(S2C.symbols), min_size=1, max_size=12).map(
+                lambda tokens: nested(S2C, tokens)
+            ),
+            st.lists(st.sampled_from(S3.symbols), min_size=1, max_size=12).map(
+                lambda tokens: nested(S3, tokens)
+            ),
+        ),
+        st.sampled_from((0, 1, 2)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_overlapping_positions_are_neighbors(self, w, r):
+        coloring = chi_coloring(w, r)
+        keys = {i: sphere_key(w, i, r) for i in w.positions()}
+        for i in w.positions():
+            overlapping = [
+                j
+                for j in w.positions()
+                if j != i and keys[j] == keys[i] and distance(w, i, j) <= 2 * r + 1
+            ]
+            assert coloring.degrees[i] == len(overlapping)
+            for j in overlapping:
+                assert coloring.colors[i] != coloring.colors[j]
 
 
 # ---------------------------------------------------------------------------
