@@ -17,7 +17,7 @@ trusted path; an independent run-search lives in the test suite.
 from __future__ import annotations
 
 import json
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 
 from .core import CALL, INTERNAL, RETURN, CallReturnAlphabet, validate_alphabet, alphabet_to_json
 from .errors import (
@@ -466,34 +466,78 @@ def automaton_to_json(a) -> dict:
     raise NwtkError(f"not an automaton: {a!r}")
 
 
+# a name is a JSON value usable as a state, stack symbol or letter
+_NAME_TYPES = frozenset({str, int, float, bool, type(None)})
+_NAME = "a name"
+_NAMES = "a list of names"
+
+# per kind: the class and its fields after the alphabet, in constructor
+# order, each with its shape (a row width for a list of transition rows);
+# only "calling" may be absent
+_JSON_SCHEMA = {
+    "mvpa": (
+        Mvpa,
+        {
+            "states": _NAMES,
+            "gamma": _NAMES,
+            "bottom": _NAME,
+            "initial": _NAMES,
+            "final": _NAMES,
+            "delta_call": 4,
+            "delta_return": 4,
+            "delta_internal": 3,
+        },
+    ),
+    "mnwa": (
+        Mnwa,
+        {
+            "states": _NAMES,
+            "initial": _NAMES,
+            "final": _NAMES,
+            "delta1": 3,
+            "delta2": 4,
+            "calling": _NAMES,
+        },
+    ),
+}
+
+
+def _has_shape(value, shape) -> bool:
+    # type and length checks run over whole lists at C speed: this is on
+    # the path of every automaton read
+    if shape == _NAME:
+        return type(value) in _NAME_TYPES
+    if type(value) is not list:
+        return False
+    if shape == _NAMES:
+        return _NAME_TYPES.issuperset(map(type, value))
+    return (
+        {list}.issuperset(map(type, value))
+        and {shape}.issuperset(map(len, value))
+        and _NAME_TYPES.issuperset(map(type, chain.from_iterable(value)))
+    )
+
+
 def automaton_from_json(data):
+    """Read an automaton as written by ``automaton_to_json``; schema errors raise NwtkError."""
     if isinstance(data, str):
         data = json.loads(data)
-    alphabet = validate_alphabet(data["alphabet"])
+    if not isinstance(data, dict):
+        raise NwtkError("an automaton must be a JSON object")
     kind = data.get("kind")
-    if kind == "mvpa":
-        return Mvpa(
-            alphabet,
-            data["states"],
-            data["gamma"],
-            data["bottom"],
-            data["initial"],
-            data["final"],
-            data["delta_call"],
-            data["delta_return"],
-            data["delta_internal"],
-        )
-    if kind == "mnwa":
-        return Mnwa(
-            alphabet,
-            data["states"],
-            data["initial"],
-            data["final"],
-            data["delta1"],
-            data["delta2"],
-            data.get("calling", ()),
-        )
-    raise NwtkError(f"unknown automaton kind {kind!r}")
+    if kind not in _JSON_SCHEMA:
+        raise NwtkError(f"unknown automaton kind {kind!r}")
+    cls, fields = _JSON_SCHEMA[kind]
+    missing = ({"alphabet"} | fields.keys()) - {"calling"} - data.keys()
+    if missing:
+        raise NwtkError(f"{kind} automaton lacks {', '.join(sorted(missing))}")
+    alphabet = validate_alphabet(data["alphabet"])
+    values = [data.get(field, []) for field in fields]
+    for field, shape, value in zip(fields, fields.values(), values):
+        if not _has_shape(value, shape):
+            expected = shape if isinstance(shape, str) else f"a list of {shape}-element rows"
+            raise NwtkError(f'"{field}" must be {expected}')
+    return cls(alphabet, *values)
 
 
 def load_automaton(path):

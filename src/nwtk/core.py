@@ -17,6 +17,7 @@ from .errors import (
     DuplicateSymbol,
     EmptyAlphabet,
     EmptyWord,
+    InvalidAlphabet,
     PositionOutOfRange,
     UnknownSymbol,
 )
@@ -24,6 +25,11 @@ from .errors import (
 CALL = "call"
 RETURN = "return"
 INTERNAL = "internal"
+
+
+def _immutable(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of a value fixed at construction."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,8 @@ class CallReturnAlphabet:
         object.__setattr__(self, "_class_of", class_of)
         object.__setattr__(self, "symbols", tuple(order))
 
+    __setattr__ = __delattr__ = _immutable
+
     @property
     def k(self) -> int:
         return len(self.stacks)
@@ -108,12 +116,27 @@ class CallReturnAlphabet:
         return f"CallReturnAlphabet(stacks={self.stacks!r}, internal={self.internal!r})"
 
 
+def _list(value, what):
+    if not isinstance(value, list):
+        raise InvalidAlphabet(f"{what} must be a list")
+    return value
+
+
 def validate_alphabet(raw) -> CallReturnAlphabet:
-    """Build an alphabet from the JSON shape {"stacks": [{"calls": [...], "returns": [...]}], "internal": [...]}."""
+    """Build an alphabet from the JSON shape {"stacks": [{"calls": [...], "returns": [...]}], "internal": [...]}.
+
+    A value of another shape raises InvalidAlphabet.
+    """
     if isinstance(raw, CallReturnAlphabet):
         return raw
-    stacks = [(entry["calls"], entry["returns"]) for entry in raw.get("stacks", ())]
-    return CallReturnAlphabet(stacks, raw.get("internal", ()))
+    if not isinstance(raw, dict):
+        raise InvalidAlphabet("an alphabet must be a JSON object")
+    stacks = []
+    for entry in _list(raw.get("stacks", []), '"stacks"'):
+        if not isinstance(entry, dict) or not {"calls", "returns"} <= entry.keys():
+            raise InvalidAlphabet('each stack must be an object with "calls" and "returns"')
+        stacks.append((_list(entry["calls"], '"calls"'), _list(entry["returns"], '"returns"')))
+    return CallReturnAlphabet(stacks, _list(raw.get("internal", []), '"internal"'))
 
 
 def alphabet_to_json(alphabet: CallReturnAlphabet) -> dict:
@@ -136,12 +159,15 @@ class NestedWord:
     __slots__ = ("alphabet", "labels", "mu", "mu_inv", "stack_of", "pending")
 
     def __init__(self, alphabet, labels, mu, stack_of, pending):
-        self.alphabet = alphabet
-        self.labels = tuple(labels)
-        self.mu = mu
-        self.mu_inv = {j: i for i, j in mu.items()}
-        self.stack_of = stack_of
-        self.pending = frozenset(pending)
+        init = object.__setattr__
+        init(self, "alphabet", alphabet)
+        init(self, "labels", tuple(labels))
+        init(self, "mu", mu)
+        init(self, "mu_inv", {j: i for i, j in mu.items()})
+        init(self, "stack_of", stack_of)
+        init(self, "pending", frozenset(pending))
+
+    __setattr__ = __delattr__ = _immutable
 
     def __len__(self):
         return len(self.labels)

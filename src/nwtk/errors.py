@@ -13,6 +13,10 @@ class EmptyAlphabet(NwtkError):
     """An alphabet needs at least one stack."""
 
 
+class InvalidAlphabet(NwtkError):
+    """An alphabet description does not have the documented shape."""
+
+
 class UnknownSymbol(NwtkError):
     """A token does not belong to the alphabet."""
 

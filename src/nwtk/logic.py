@@ -28,7 +28,7 @@ from .errors import (
     UnboundVariable,
     WordTooLargeForSO,
 )
-from .spheres import Sphere, sphere_count, sphere_from_json, sphere_key
+from .spheres import Sphere, _keys, sphere_count, sphere_from_json
 
 __all__ = [
     "Rel",
@@ -360,7 +360,7 @@ class CompiledConstraint:
         self.radius = radius
 
     def accepts(self, word) -> bool:
-        keys = [sphere_key(word, i, self.radius) for i in word.positions()]
+        keys = _keys(word, self.radius)
 
         def count_to(target_key, cap):
             c = 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .core import RETURN
 from .errors import InvalidState, LengthMismatch
-from .spheres import Sphere, _bfs, _word_neighbours, sphere, sphere_key
+from .spheres import Sphere, _bfs, _keys, _word_neighbours, sphere
 
 __all__ = [
     "ExtendedSphere",
@@ -242,12 +242,7 @@ def _overlap_adjacency(word, r, keys):
 
 
 def chi_coloring(word, r: int) -> OverlapColoring:
-    keys = [sphere_key(word, i, r) for i in word.positions()]
-    return _chi_from_keys(word, r, keys)
-
-
-def _chi_from_keys(word, r, keys) -> OverlapColoring:
-    adj = _overlap_adjacency(word, r, keys)
+    adj = _overlap_adjacency(word, r, _keys(word, r))
     colors: dict = {}
     for i in range(1, len(word) + 1):
         used = {colors[j] for j in adj[i] if j in colors}
@@ -269,8 +264,7 @@ def canonical_run(word, r: int) -> list[SphereState]:
     """The intended accepting run: state i collects every sphere whose
     center lies within the radius of position i, re-pointed to i."""
     spheres = [sphere(word, i, r) for i in word.positions()]
-    coloring = _chi_from_keys(word, r, [s.key for s in spheres])
-    colors = coloring.colors
+    colors = chi_coloring(word, r).colors
     states = []
     for i in word.positions():
         members = [

@@ -18,6 +18,12 @@ discovers the ball's nodes from the same parents, in the same order, as
 the search over the induced sphere.  The canonical key of a sphere is
 therefore read off one bounded pass over the word, without building the
 sphere first.
+
+Keys are computed once per word and radius.  A one-word cache holds the
+most recent word (matched by identity; words are immutable) and, per
+radius, the keys of its positions, each filled in on first use by that
+bounded pass.  The pair (word, table) is published as one tuple, so
+threads working on different words only evict each other and recompute.
 """
 
 from __future__ import annotations
@@ -184,19 +190,18 @@ class Sphere:
         return f"Sphere(r={self.radius}, center={self.center}, {parts})"
 
 
-def _ball(word, i: int, r: int):
-    """Canonical order and distances of the radius-r ball around position i."""
+def _check_center(word, i: int, r: int):
     n = len(word.labels)
     if not 1 <= i <= n:
         raise PositionOutOfRange(f"position {i} not in 1..{n}")
     if r < 0:
         raise InvalidSphere("radius must be non-negative")
-    return _bfs(i, _word_neighbours(word), r)
 
 
 def sphere(word, i: int, r: int) -> Sphere:
     """Extract the radius-r sphere of a word around position i."""
-    order, dist = _ball(word, i, r)
+    _check_center(word, i, r)
+    order, dist = _bfs(i, _word_neighbours(word), r)
     labels = word.labels
     mu = word.mu
     stack_of = word.stack_of
@@ -210,13 +215,9 @@ def sphere(word, i: int, r: int) -> Sphere:
     )
 
 
-def sphere_key(word, i: int, r: int):
-    """Canonical key of ``sphere(word, i, r)`` without building the object.
-
-    Equal keys mean isomorphic spheres; the edge encoding mirrors the
-    ``Sphere`` constructor exactly.
-    """
-    order, _ = _ball(word, i, r)
+def _key(word, i: int, r: int):
+    """Canonical key of the radius-r ball around a valid position i."""
+    order, _ = _bfs(i, _word_neighbours(word), r)
     index_of = dict(zip(order, range(len(order))))
     mu = word.mu
     stack_of = word.stack_of
@@ -233,6 +234,51 @@ def sphere_key(word, i: int, r: int):
     return (r, tuple([labels[v - 1] for v in order]), tuple(edges))
 
 
+# (word, {radius: [key of position i at index i - 1, or None]})
+_recent = (None, {})
+
+
+def _cached_keys(word, r: int) -> list:
+    """The cache's key slots for one word and radius, evicting any other word."""
+    global _recent
+    recent_word, table = _recent
+    if recent_word is not word:
+        table = {}
+        _recent = (word, table)
+    slots = table.get(r)
+    if slots is None:
+        slots = table[r] = [None] * len(word.labels)
+    return slots
+
+
+def _keys(word, r: int) -> list:
+    """Keys of every position of the word at radius r, position 1 first.
+
+    The list is the cache's own: callers read it and never change it.
+    """
+    if r < 0:
+        raise InvalidSphere("radius must be non-negative")
+    slots = _cached_keys(word, r)
+    for i, key in enumerate(slots, 1):
+        if key is None:
+            slots[i - 1] = _key(word, i, r)
+    return slots
+
+
+def sphere_key(word, i: int, r: int):
+    """Canonical key of ``sphere(word, i, r)`` without building the object.
+
+    Equal keys mean isomorphic spheres; the edge encoding mirrors the
+    ``Sphere`` constructor exactly.
+    """
+    _check_center(word, i, r)
+    slots = _cached_keys(word, r)
+    key = slots[i - 1]
+    if key is None:
+        key = slots[i - 1] = _key(word, i, r)
+    return key
+
+
 def sphere_iso(a: Sphere, b: Sphere) -> bool:
     """Isomorphism respecting labels, edge kinds, stack tags, and the center."""
     if a.radius != b.radius:
@@ -244,8 +290,7 @@ def sphere_count(word, target: Sphere, r: int) -> int:
     """How many positions of the word realize the target sphere."""
     if target.radius != r:
         raise RadiusMismatch(f"target has radius {target.radius}, expected {r}")
-    key = target.key
-    return sum(1 for i in word.positions() if sphere_key(word, i, r) == key)
+    return _keys(word, r).count(target.key)
 
 
 def enumerate_spheres(alphabet, r: int, max_len: int):

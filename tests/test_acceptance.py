@@ -317,6 +317,7 @@ def test_07_overlap_degree_and_color_bounds():
                 worst_col[r] = col.num_colors
         count += 1
     elapsed = time.perf_counter() - t0
+    assert elapsed <= 600.0
     print(
         f"PASS [7] overlap coloring on {count} words to length 10: worst "
         f"degree/colors {worst_deg[0]}/{worst_col[0]} (bound {bound[0]}/"

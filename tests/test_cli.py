@@ -31,6 +31,14 @@ def write_json(tmp_path, name, data):
     return str(path)
 
 
+def assert_input_error(result):
+    """Malformed input: exit 2 and a single ``error:`` line, no traceback."""
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.output
+
+
 class TestNest:
     def test_report(self, files):
         result = runner.invoke(main, ["nest", files("w.txt", WORD10)])
@@ -53,6 +61,16 @@ class TestNest:
     def test_missing_file(self, tmp_path):
         result = runner.invoke(main, ["nest", str(tmp_path / "absent.txt")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "alphabet",
+        [["a"], {"stacks": [{"returns": ["a~"]}]}, {"stacks": {"calls": ["a"]}}],
+        ids=["list", "no-calls", "stacks-not-list"],
+    )
+    def test_malformed_alphabet(self, alphabet, files, tmp_path):
+        path = write_json(tmp_path, "alph.json", alphabet)
+        result = runner.invoke(main, ["nest", files("w.txt", "a"), "--alphabet", path])
+        assert_input_error(result)
 
 
 class TestSimulate:
@@ -78,6 +96,21 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", machine, words])
         assert result.exit_code == 1
         assert result.output == "ACCEPT\nREJECT\n"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alphabet", None), ("states", None), ("delta1", {})],
+        ids=["no-alphabet", "no-states", "delta1-not-list"],
+    )
+    def test_malformed_automaton(self, field, value, files, tmp_path):
+        data = automaton_to_json(loop_mnwa())
+        if value is None:
+            del data[field]
+        else:
+            data[field] = value
+        machine = write_json(tmp_path, "m.json", data)
+        result = runner.invoke(main, ["simulate", machine, files("w.txt", "a a~")])
+        assert_input_error(result)
 
 
 class TestConvert:
@@ -318,10 +351,7 @@ class TestCompileCount:
             main,
             ["compile-count", str(tmp_path / "c.txt"), "--word", files("w.txt", "a")],
         )
-        assert result.exit_code == 2
-        assert result.stderr.startswith("error: ")
-        assert result.stderr.count("\n") == 1
-        assert "Traceback" not in result.output
+        assert_input_error(result)
 
 
 class TestGrid:

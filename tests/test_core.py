@@ -258,6 +258,19 @@ def test_alphabet_file_round_trip(tmp_path):
     assert load_alphabet(path) == S2C
 
 
+def test_values_are_immutable():
+    w = word10()
+    with pytest.raises(AttributeError):
+        w.mu = {}
+    with pytest.raises(AttributeError):
+        del w.labels
+    with pytest.raises(AttributeError):
+        S2.stacks = ()
+    with pytest.raises(AttributeError):
+        del S2.internal
+    assert w.labels == tuple(WORD10.split()) and S2.k == 2
+
+
 def test_word_to_dot():
     dot = word_to_dot(word10())
     assert dot.startswith("digraph")

@@ -1,10 +1,15 @@
 """Sphere extraction, isomorphism, counting, and enumeration."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nwtk.spheres as sphere_module
 from nwtk.core import iter_token_tuples, nested
 from nwtk.errors import InvalidSphere, PositionOutOfRange, RadiusMismatch
+from nwtk.sphere_automaton import canonical_run
 from nwtk.spheres import (
     Sphere,
     enumerate_spheres,
@@ -243,6 +248,118 @@ class TestFastKey:
         w = nested(S3, tokens)
         for i in w.positions():
             assert sphere_key(w, i, r) == sphere(w, i, r).key
+
+
+class TestKeyCache:
+    """Keys come from a one-word cache; each must still equal the key of
+    the sphere built on its own."""
+
+    def test_interleaved_words(self):
+        a, b = word10(), word16()
+        for r in (0, 1, 2):
+            for w in (a, b, a):
+                for i in w.positions():
+                    assert sphere_key(w, i, r) == sphere(w, i, r).key
+
+    def test_equal_words_are_distinct_entries(self):
+        tokens = ("a", "b", "a~", "c", "b~")
+        v, w = nested(S2C, tokens), nested(S2C, tokens)
+        assert v == w and v is not w
+        for r in (0, 1, 2):
+            assert [sphere_key(v, i, r) for i in v.positions()] == [
+                sphere(w, i, r).key for i in w.positions()
+            ]
+            assert [sphere_key(w, i, r) for i in w.positions()] == [
+                sphere(v, i, r).key for i in v.positions()
+            ]
+
+    def test_canonical_run_first(self):
+        w = word16()
+        for r in (0, 1, 2):
+            canonical_run(w, r)
+            for i in w.positions():
+                assert sphere_key(w, i, r) == sphere(w, i, r).key
+
+    def test_bad_arguments_after_caching(self):
+        w = word10()
+        for i in w.positions():
+            sphere_key(w, i, 1)
+        for i in (0, 11):
+            with pytest.raises(PositionOutOfRange):
+                sphere_key(w, i, 1)
+        with pytest.raises(InvalidSphere):
+            sphere_key(w, 1, -1)
+
+    def test_eviction_during_a_key_computation(self, monkeypatch):
+        """Another thread's word may replace the cached one while a key is
+        computed; the key must land in its own word's table only."""
+        a, b = word10(), word16()
+        key = sphere_module._key
+
+        def interleaved(word, i, r):
+            out = key(word, i, r)
+            if word is a:
+                sphere_key(b, i, r)
+            return out
+
+        monkeypatch.setattr(sphere_module, "_key", interleaved)
+        for r in (0, 1, 2):
+            for i in a.positions():
+                assert sphere_key(a, i, r) == sphere(a, i, r).key
+        monkeypatch.undo()
+        for r in (0, 1, 2):
+            for i in b.positions():
+                assert sphere_key(b, i, r) == sphere(b, i, r).key
+
+    def test_threads_on_different_words(self):
+        tokens = [
+            ("a", "b", "a~", "c", "b~"),
+            ("b", "a", "c", "a~", "b~", "c"),
+            ("c", "a", "a~", "b", "c", "b~", "a"),
+            tuple("a b a b a~ a~ a~ b~ b~ b~".split()),
+        ]
+        want = []
+        for t in tokens:
+            w = nested(S2C, t)
+            want.append({(i, r): sphere(w, i, r).key for i in w.positions() for r in (0, 1, 2)})
+        start = threading.Barrier(len(tokens))
+        wrong = []
+
+        def work(t, expected):
+            start.wait(timeout=60)
+            for _ in range(100):
+                w = nested(S2C, t)
+                for (i, r), key in expected.items():
+                    if sphere_key(w, i, r) != key:
+                        wrong.append((t, i, r))
+
+        threads = [threading.Thread(target=work, args=pair) for pair in zip(tokens, want)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+
+    def test_one_traversal_per_fresh_key(self, monkeypatch):
+        bfs = sphere_module._bfs
+        calls = []
+
+        def counting_bfs(*args):
+            calls.append(args[0])
+            return bfs(*args)
+
+        monkeypatch.setattr(sphere_module, "_bfs", counting_bfs)
+        w = word16()
+        sphere_key(w, 10, 2)
+        assert calls == [10]
+        sphere_key(w, 10, 2)
+        assert calls == [10]
 
 
 class TestSerialization:
