@@ -381,24 +381,37 @@ def degeneralize(b: Mnwa) -> Mnwa:
     )
 
 
+def _escape(q) -> str:
+    return str(q).replace("\\", "\\\\").replace("&", "\\&")
+
+
 def product(b1: Mnwa, b2: Mnwa, mode: str) -> Mnwa:
-    """Intersection as a synchronous product, union as a disjoint sum."""
+    """Intersection as a synchronous product, union as a disjoint sum.
+
+    The intersection names the pair (q1, q2) by joining the two names with
+    ``&`` after escaping each name's backslashes and ampersands with a
+    backslash; distinct pairs of string names thus get distinct names, and
+    names without either character are joined unchanged.
+    """
     if b1.alphabet != b2.alphabet:
         raise AlphabetMismatch("product needs a common alphabet")
     if mode == "intersection":
-        states = [f"{q1}&{q2}" for q1 in sorted(b1.states) for q2 in sorted(b2.states)]
+        names1 = [(q, _escape(q)) for q in sorted(b1.states)]
+        names2 = [(q, _escape(q)) for q in sorted(b2.states)]
+        pair = {(q1, q2): f"{e1}&{e2}" for q1, e1 in names1 for q2, e2 in names2}
+        states = list(pair.values())
         delta1 = set()
         for (q1, a, r1) in b1.delta1:
             for (q2, a2, r2) in b2.delta1:
                 if a == a2:
-                    delta1.add((f"{q1}&{q2}", a, f"{r1}&{r2}"))
+                    delta1.add((pair[q1, q2], a, pair[r1, r2]))
         delta2 = set()
         for (p1, q1, a, r1) in b1.delta2:
             for (p2, q2, a2, r2) in b2.delta2:
                 if a == a2:
-                    delta2.add((f"{p1}&{p2}", f"{q1}&{q2}", a, f"{r1}&{r2}"))
+                    delta2.add((pair[p1, p2], pair[q1, q2], a, pair[r1, r2]))
         calling = {
-            f"{q1}&{q2}"
+            pair[q1, q2]
             for q1 in b1.states
             for q2 in b2.states
             if q1 in b1.calling or q2 in b2.calling
@@ -406,8 +419,8 @@ def product(b1: Mnwa, b2: Mnwa, mode: str) -> Mnwa:
         return Mnwa(
             b1.alphabet,
             states,
-            [f"{q1}&{q2}" for q1 in b1.initial for q2 in b2.initial],
-            [f"{q1}&{q2}" for q1 in b1.final for q2 in b2.final],
+            [pair[q1, q2] for q1 in b1.initial for q2 in b2.initial],
+            [pair[q1, q2] for q1 in b1.final for q2 in b2.final],
             delta1,
             delta2,
             calling,

@@ -69,11 +69,11 @@ def _step(word: NestedWord, p: int, kind: str, stack: int):
         return p - 1 if p > 1 else None
     cls = word.alphabet.classify(word.labels[p - 1])
     if kind == "jump":
-        if cls.kind == CALL and cls.stack == stack and p in word.mu:
-            return word.mu[p]
+        if cls.kind == CALL and cls.stack == stack:
+            return word.mu.get(p)
         return None
-    if cls.kind == RETURN and cls.stack == stack and p in word.mu_inv:
-        return word.mu_inv[p]
+    if cls.kind == RETURN and cls.stack == stack:
+        return word.mu_inv.get(p)
     return None
 
 

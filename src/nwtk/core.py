@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (
     DuplicateSymbol,
@@ -154,20 +155,38 @@ class NestedWord:
     ``mu`` maps each matched call to its return, ``mu_inv`` the reverse,
     ``stack_of`` gives the stack index of a matched call.  ``pending``
     holds the positions of unmatched calls and returns.
+
+    The three maps are read-only views over private dicts, made afresh on
+    each access: the word cannot be changed through them, and it stores no
+    view of its own.  The sphere traversals in ``spheres`` read the private
+    dicts ``_mu``, ``_mu_inv`` and ``_stack_of`` directly, one lookup per
+    visited node without a view in between.
     """
 
-    __slots__ = ("alphabet", "labels", "mu", "mu_inv", "stack_of", "pending")
+    __slots__ = ("alphabet", "labels", "_mu", "_mu_inv", "_stack_of", "pending")
 
     def __init__(self, alphabet, labels, mu, stack_of, pending):
         init = object.__setattr__
         init(self, "alphabet", alphabet)
         init(self, "labels", tuple(labels))
-        init(self, "mu", mu)
-        init(self, "mu_inv", {j: i for i, j in mu.items()})
-        init(self, "stack_of", stack_of)
+        init(self, "_mu", dict(mu))
+        init(self, "_mu_inv", {j: i for i, j in mu.items()})
+        init(self, "_stack_of", dict(stack_of))
         init(self, "pending", frozenset(pending))
 
     __setattr__ = __delattr__ = _immutable
+
+    @property
+    def mu(self):
+        return MappingProxyType(self._mu)
+
+    @property
+    def mu_inv(self):
+        return MappingProxyType(self._mu_inv)
+
+    @property
+    def stack_of(self):
+        return MappingProxyType(self._stack_of)
 
     def __len__(self):
         return len(self.labels)
@@ -182,7 +201,8 @@ class NestedWord:
 
     def matches(self):
         """All matched pairs as (call, return, stack), sorted by call."""
-        return sorted((i, j, self.stack_of[i]) for i, j in self.mu.items())
+        stack_of = self._stack_of
+        return sorted((i, j, stack_of[i]) for i, j in self._mu.items())
 
     def neighbors(self, i: int):
         """Adjacent positions: predecessor, successor, and the matching partner."""
@@ -191,9 +211,9 @@ class NestedWord:
             out.append(i - 1)
         if i < len(self.labels):
             out.append(i + 1)
-        j = self.mu.get(i)
+        j = self._mu.get(i)
         if j is None:
-            j = self.mu_inv.get(i)
+            j = self._mu_inv.get(i)
         if j is not None:
             out.append(j)
         return out
@@ -208,7 +228,7 @@ class NestedWord:
             return j == i + 1
         if name == "match":
             i, j = args
-            return self.mu.get(i) == j
+            return self._mu.get(i) == j
         if name.startswith("label:"):
             (i,) = args
             return self.labels[i - 1] == name[6:]

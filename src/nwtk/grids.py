@@ -121,9 +121,10 @@ def encode(n: int, m: int) -> GridEncoding:
             else:
                 chi[(i, j)] = pos_b[n * (j // 2 - 1) + (n - i)]
     chi_bar = {}
+    mu = word.mu
     for u, p in chi.items():
         chi_bar[(1, u)] = p
-        chi_bar[(2, u)] = word.mu[p]
+        chi_bar[(2, u)] = mu[p]
     return GridEncoding(grid, word, chi, chi_bar)
 
 

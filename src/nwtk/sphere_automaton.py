@@ -72,29 +72,32 @@ class SphereState:
         by_key = {}
         for m in members:
             by_key.setdefault(m.key, m)
-        members = tuple(sorted(by_key.values(), key=lambda m: m.key))
+        members = tuple([by_key[k] for k in sorted(by_key)])
+        groups: dict = {}
+        centered = 0
+        labels = set()
+        final = True
+        calling = False
+        for m in members:
+            key = m.key
+            groups.setdefault((key[0], key[2]), []).append(key[1])
+            if key[1] == 0:
+                centered += 1
+            labels.add(m.core.labels[m.active])
+            if m.mo is not None:
+                final = False
+                calling = True
+            elif m.so is not None:
+                final = False
         self.members = members
         self.key = frozenset(by_key)
-        groups: dict = {}
-        for m in members:
-            groups.setdefault((m.core.key, m.color), []).append(m.key[1])
         self.core_groups = {k: tuple(v) for k, v in groups.items()}
-        if members:
-            centered = sum(1 for m in members if m.key[1] == 0)
-            labels = {m.core.labels[m.active] for m in members}
-            self.label = next(iter(labels)) if len(labels) == 1 else None
-            self.valid = (
-                centered == 1
-                and self.label is not None
-                and all(len(v) == 1 for v in self.core_groups.values())
-            )
-            self.final = all(m.so is None and m.mo is None for m in members)
-            self.calling = any(m.mo is not None for m in members)
-        else:
-            self.label = None
-            self.valid = True
-            self.final = True
-            self.calling = False
+        self.label = labels.pop() if len(labels) == 1 else None
+        self.valid = not members or (
+            centered == 1 and self.label is not None and len(groups) == len(members)
+        )
+        self.final = final
+        self.calling = calling
 
     def __eq__(self, other):
         return isinstance(other, SphereState) and self.key == other.key

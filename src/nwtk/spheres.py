@@ -19,6 +19,18 @@ the search over the induced sphere.  The canonical key of a sphere is
 therefore read off one bounded pass over the word, without building the
 sphere first.
 
+The same pass builds the sphere itself.  ``Sphere(...)`` checks its input
+graph and traverses its own edge maps, because a caller may hand it any
+graph; ``sphere`` skips those checks and that second traversal, since a
+ball cut from a ``NestedWord`` satisfies them by construction: it is
+connected and lies within radius r (every node was reached from the
+center in at most r steps), its edges join two nodes of the ball (only
+edges with both ends visited are kept), and it has at most one edge of
+each kind per node (a word has one successor, one predecessor and at most
+one matching partner per position).  The visiting order and distances of
+that pass are the ones the sphere's own traversal would produce, so both
+paths end in one field layout, ``Sphere._fill``.
+
 Keys are computed once per word and radius.  A one-word cache holds the
 most recent word (matched by identity; words are immutable) and, per
 radius, the keys of its positions, each filled in on first use by that
@@ -73,10 +85,14 @@ def _bfs(center, neighbours, limit: int):
 
 
 def _word_neighbours(word):
-    """``neighbours`` for ``_bfs`` over the positions of a word."""
+    """``neighbours`` for ``_bfs`` over the positions of a word.
+
+    Reads the word's private maps; the public ``mu`` and ``mu_inv`` are
+    read-only views that would add a call per lookup on this hot path.
+    """
     n = len(word.labels)
-    mu = word.mu
-    mu_inv = word.mu_inv
+    mu = word._mu
+    mu_inv = word._mu_inv
     return lambda v: (
         v + 1 if v < n else None,
         v - 1 if v > 1 else None,
@@ -116,10 +132,7 @@ class Sphere:
             raise InvalidSphere(f"center {center!r} is not a node")
         if radius < 0:
             raise InvalidSphere("radius must be non-negative")
-        if len(nodes) > max_size_bound(radius):
-            raise InvalidSphere(
-                f"{len(nodes)} nodes exceed the size bound for radius {radius}"
-            )
+        _check_size(len(nodes), radius)
         succ_out: dict = {}
         succ_in: dict = {}
         mu_out: dict = {}
@@ -162,7 +175,16 @@ class Sphere:
             raise InvalidSphere("sphere is not connected to its center")
         if dist[order[-1]] > radius:
             raise InvalidSphere("a node lies farther from the center than the radius")
+        self._fill(
+            nodes, labels, succ, mu, center, radius,
+            succ_out, succ_in, mu_out, mu_in, order, dist,
+        )
 
+    def _fill(
+        self, nodes, labels, succ, mu, center, radius,
+        succ_out, succ_in, mu_out, mu_in, order, dist,
+    ):
+        """Set every field from a checked graph and its canonical traversal."""
         index_of = dict(zip(order, range(len(order))))
         edges = sorted(
             [(index_of[i], index_of[j], 0) for i, j in succ]
@@ -190,6 +212,11 @@ class Sphere:
         return f"Sphere(r={self.radius}, center={self.center}, {parts})"
 
 
+def _check_size(size: int, radius: int):
+    if size > max_size_bound(radius):
+        raise InvalidSphere(f"{size} nodes exceed the size bound for radius {radius}")
+
+
 def _check_center(word, i: int, r: int):
     n = len(word.labels)
     if not 1 <= i <= n:
@@ -199,28 +226,44 @@ def _check_center(word, i: int, r: int):
 
 
 def sphere(word, i: int, r: int) -> Sphere:
-    """Extract the radius-r sphere of a word around position i."""
+    """Extract the radius-r sphere of a word around position i.
+
+    Every field comes from one bounded pass over the word; the module
+    docstring says why the constructor's graph checks hold here.
+    """
     _check_center(word, i, r)
     order, dist = _bfs(i, _word_neighbours(word), r)
+    _check_size(len(order), r)
+    nodes = tuple(sorted(order))
     labels = word.labels
-    mu = word.mu
-    stack_of = word.stack_of
-    return Sphere(
-        order,
+    mu = word._mu
+    stack_of = word._stack_of
+    succ = tuple([(v, v + 1) for v in nodes if v + 1 in dist])
+    matching = tuple([(v, mu[v], stack_of[v]) for v in nodes if mu.get(v) in dist])
+    s = Sphere.__new__(Sphere)
+    s._fill(
+        nodes,
         {v: labels[v - 1] for v in order},
-        [(v, v + 1) for v in order if v + 1 in dist],
-        [(v, mu[v], stack_of[v]) for v in order if mu.get(v) in dist],
+        succ,
+        matching,
         i,
         r,
+        dict(succ),
+        {j: v for v, j in succ},
+        {v: (j, t) for v, j, t in matching},
+        {j: (v, t) for v, j, t in matching},
+        order,
+        dist,
     )
+    return s
 
 
 def _key(word, i: int, r: int):
     """Canonical key of the radius-r ball around a valid position i."""
     order, _ = _bfs(i, _word_neighbours(word), r)
     index_of = dict(zip(order, range(len(order))))
-    mu = word.mu
-    stack_of = word.stack_of
+    mu = word._mu
+    stack_of = word._stack_of
     edges = []
     for k, v in enumerate(order):
         j = index_of.get(v + 1)

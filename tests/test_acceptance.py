@@ -351,6 +351,7 @@ def test_08_counting_constraints(words8):
         assert c3.accepts(w) == constraint_holds(w, f3)
         checked3 += 1
     elapsed = time.perf_counter() - t0
+    assert elapsed <= 600.0
     print(
         f"PASS [8] compiled counting constraints agree with direct sphere "
         f"counting on {checked12} two-stack words (radius 0) and {checked3} "

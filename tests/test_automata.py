@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nwtk.automata import (
     Mnwa,
@@ -273,6 +274,20 @@ class TestDegeneralize:
 # ---------------------------------------------------------------------------
 # products
 
+def renamed(b: Mnwa, names) -> Mnwa:
+    """The same machine with its states s0, s1, ... called names[0], names[1], ..."""
+    to = {f"s{i}": name for i, name in enumerate(names)}
+    return Mnwa(
+        b.alphabet,
+        [to[q] for q in b.states],
+        [to[q] for q in b.initial],
+        [to[q] for q in b.final],
+        [(to[q], a, to[q2]) for q, a, q2 in b.delta1],
+        [(to[p], to[q], a, to[q2]) for p, q, a, q2 in b.delta2],
+        [to[q] for q in b.calling],
+    )
+
+
 class TestProduct:
     def test_intersection_with_accept_all(self):
         b = loop_mnwa()
@@ -307,6 +322,38 @@ class TestProduct:
         assert inter.calling == frozenset({"p&q"})
         uni = product(b1, b2, "union")
         assert uni.calling == frozenset({"1.p"})
+
+    def test_pair_names_are_injective(self):
+        # (x&y, z) and (x, y&z) must stay two states: each operand rejects "a"
+        left = Mnwa(S2, ("x", "x&y"), ("x",), ("x&y",), (("x", "a", "x"),), ())
+        right = Mnwa(S2, ("y&z", "z"), ("y&z",), ("z",), (("y&z", "a", "y&z"),), ())
+        inter = product(left, right, "intersection")
+        assert len(inter.states) == 4
+        assert not mnwa_accepts(inter, nested(S2, ("a",)))
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.lists(st.text(alphabet="x&|.\\", min_size=1, max_size=2), min_size=5, max_size=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_separator_names_keep_the_language(self, seed, parts):
+        a, b, c, d, e = parts
+        # the pairs (a, b&c) and (a&b, c) read alike when glued with a bare "&"
+        left, right = [a, f"{a}&{b}", d], [f"{b}&{c}", c, e]
+        assume(len(set(left)) == 3 and len(set(right)) == 3)
+        bare = [Mnwa(S2, names, names[:1], (), (), ()) for names in (left, right)]
+        assert len(product(*bare, "intersection").states) == 9
+        rng = random.Random(seed)
+        b1 = renamed(random_mnwa(rng, S2, n_states=3, with_calling=True), left)
+        b2 = renamed(random_mnwa(rng, S2, n_states=3), right)
+        inter = product(b1, b2, "intersection")
+        uni = product(b1, b2, "union")
+        for tokens in iter_token_tuples(S2, 3):
+            w = nested(S2, tokens)
+            v1 = accepts_by_run_search(b1, w)
+            v2 = accepts_by_run_search(b2, w)
+            assert mnwa_accepts(inter, w) == (v1 and v2), tokens
+            assert mnwa_accepts(uni, w) == (v1 or v2), tokens
 
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatch):

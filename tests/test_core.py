@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from nwtk.core import (
     CallReturnAlphabet,
+    NestedWord,
     alphabet_to_json,
     distance,
     format_word,
@@ -268,7 +269,21 @@ def test_values_are_immutable():
         S2.stacks = ()
     with pytest.raises(AttributeError):
         del S2.internal
+    for view in (w.mu, w.mu_inv, w.stack_of):
+        with pytest.raises(TypeError):
+            view[1] = 4
+        with pytest.raises(TypeError):
+            del view[1]
     assert w.labels == tuple(WORD10.split()) and S2.k == 2
+    assert w.mu == {3: 5, 1: 6, 4: 8, 2: 9} and w.mu_inv[6] == 1 and w.stack_of[2] == 2
+
+
+def test_word_keeps_its_own_maps():
+    mu, stack_of = {1: 2}, {1: 1}
+    w = NestedWord(S2, ("a", "a~"), mu, stack_of, ())
+    mu[1] = 3
+    stack_of[1] = 2
+    assert w.mu == {1: 2} and w.stack_of == {1: 1} and w.mu_inv == {2: 1}
 
 
 def test_word_to_dot():

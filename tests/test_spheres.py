@@ -250,6 +250,58 @@ class TestFastKey:
             assert sphere_key(w, i, r) == sphere(w, i, r).key
 
 
+def _fields(s):
+    """Every slot of a sphere, with the visiting order held by index_of and dist."""
+    return [getattr(s, name) for name in Sphere.__slots__] + [list(s.index_of), list(s.dist)]
+
+
+class TestSphereFromWord:
+    """``sphere`` derives every field from its one traversal of the word;
+    the validating constructor, given the same graph, and the JSON reader
+    must produce the same sphere, slot by slot."""
+
+    CORPORA = ((S2, 6), (S3, 4), (S2C, 5))
+
+    def test_matches_validating_constructor(self):
+        for alphabet, max_len in self.CORPORA:
+            for tokens in iter_token_tuples(alphabet, max_len):
+                w = nested(alphabet, tokens)
+                for i in w.positions():
+                    for r in (0, 1, 2, 3):
+                        s = sphere(w, i, r)
+                        fields = _fields(s)
+                        built = Sphere(
+                            reversed(s.nodes),
+                            s.labels,
+                            reversed(s.succ),
+                            reversed(s.mu),
+                            i,
+                            r,
+                        )
+                        assert _fields(built) == fields, (tokens, i, r)
+                        again = sphere_from_json(sphere_to_json(s))
+                        assert _fields(again) == fields, (tokens, i, r)
+
+    def test_one_traversal_per_sphere(self, monkeypatch):
+        bfs = sphere_module._bfs
+        calls = []
+
+        def counting_bfs(*args):
+            calls.append(args[0])
+            return bfs(*args)
+
+        monkeypatch.setattr(sphere_module, "_bfs", counting_bfs)
+        sphere(word16(), 10, 2)
+        assert calls == [10]
+
+    def test_word_maps_are_read_only(self):
+        w = nested(S2, ("a", "a~", "b", "b~"))
+        key = sphere_key(w, 1, 1)
+        with pytest.raises(TypeError):
+            w.mu[1] = 4
+        assert sphere_key(w, 1, 1) == key == sphere(w, 1, 1).key
+
+
 class TestKeyCache:
     """Keys come from a one-word cache; each must still equal the key of
     the sphere built on its own."""
