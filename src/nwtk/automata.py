@@ -9,9 +9,14 @@ Two equivalent acceptor families over the same alphabets:
   state reached just after its matching call.  A generalized variant adds
   a set of calling states that must only occur at matched calls.
 
-Conversions preserve the accepted language.  The simulation engine for
-``Mnwa`` routes through ``Mvpa`` so the equivalence constructions are the
-trusted path; an independent run-search lives in the test suite.
+Conversions preserve the accepted language.  Whole-word acceptance for
+both families is one frontier simulation on the word's own nesting, which
+the input fixes: ``mnwa_accepts`` saves the state at each open matched call
+and hands it to the matching return, and ``mvpa_accepts`` applies the call
+rows at pending calls without pushing, since nothing ever pops those
+symbols.  Neither goes through a conversion; the constructions are checked
+against this engine, and an independent run search in ``tests/oracles.py``
+checks the engine.
 """
 
 from __future__ import annotations
@@ -19,7 +24,14 @@ from __future__ import annotations
 import json
 from itertools import chain, product as iproduct
 
-from .core import CALL, INTERNAL, RETURN, CallReturnAlphabet, validate_alphabet, alphabet_to_json
+from .core import (
+    CALL,
+    INTERNAL,
+    RETURN,
+    _immutable,
+    alphabet_to_json,
+    validate_alphabet,
+)
 from .errors import (
     AlphabetMismatch,
     CallingStatesPresent,
@@ -54,6 +66,11 @@ def _check_states(states, *groups):
                 raise NwtkError(f"unknown state {q!r}")
 
 
+def _escape(q, separator: str) -> str:
+    """The name ``q`` with each backslash and ``separator`` escaped by a backslash."""
+    return str(q).replace("\\", "\\\\").replace(separator, "\\" + separator)
+
+
 class Mvpa:
     """A visibly pushdown automaton with one stack per call/return pair."""
 
@@ -84,15 +101,16 @@ class Mvpa:
         delta_return,
         delta_internal,
     ):
-        self.alphabet = alphabet
-        self.states = frozenset(states)
-        self.gamma = frozenset(gamma)
-        self.bottom = bottom
-        self.initial = frozenset(initial)
-        self.final = frozenset(final)
-        self.delta_call = frozenset(tuple(t) for t in delta_call)
-        self.delta_return = frozenset(tuple(t) for t in delta_return)
-        self.delta_internal = frozenset(tuple(t) for t in delta_internal)
+        init = object.__setattr__
+        init(self, "alphabet", alphabet)
+        init(self, "states", frozenset(states))
+        init(self, "gamma", frozenset(gamma))
+        init(self, "bottom", bottom)
+        init(self, "initial", frozenset(initial))
+        init(self, "final", frozenset(final))
+        init(self, "delta_call", frozenset(tuple(t) for t in delta_call))
+        init(self, "delta_return", frozenset(tuple(t) for t in delta_return))
+        init(self, "delta_internal", frozenset(tuple(t) for t in delta_internal))
         if bottom in self.gamma:
             raise NwtkError("the bottom symbol cannot be a pushable stack symbol")
         _check_states(self.states, self.initial, self.final)
@@ -118,9 +136,11 @@ class Mvpa:
                 raise AlphabetMismatch(f"{a!r} is not an internal symbol")
             _check_states(self.states, (q, q2))
             int_idx.setdefault((q, a), []).append(q2)
-        self._call = {k: tuple(v) for k, v in call_idx.items()}
-        self._ret = {k: tuple(v) for k, v in ret_idx.items()}
-        self._int = {k: tuple(v) for k, v in int_idx.items()}
+        init(self, "_call", {k: tuple(v) for k, v in call_idx.items()})
+        init(self, "_ret", {k: tuple(v) for k, v in ret_idx.items()})
+        init(self, "_int", {k: tuple(v) for k, v in int_idx.items()})
+
+    __setattr__ = __delattr__ = _immutable
 
 
 def mvpa_initial_configs(a: Mvpa) -> frozenset:
@@ -129,16 +149,17 @@ def mvpa_initial_configs(a: Mvpa) -> frozenset:
     return frozenset((q, empty) for q in a.initial)
 
 
-def mvpa_step(a: Mvpa, configs, symbol: str) -> frozenset:
-    """All configurations reachable from ``configs`` by reading one symbol."""
-    cls = a.alphabet.classify(symbol)
+def _moves(a: Mvpa, configs, symbol: str, cls, push: bool) -> set:
+    """Configurations reached from ``configs`` by reading ``symbol`` of class
+    ``cls``; a call pushes its stack symbol only when ``push`` is true."""
     out = set()
+    add = out.add
     if cls.kind == CALL:
         s = cls.stack - 1
         rows = a._call.get
         for q, stacks in configs:
             for A, q2 in rows((q, symbol), ()):
-                out.add((q2, stacks[:s] + ((A,) + stacks[s],) + stacks[s + 1 :]))
+                add((q2, (stacks[:s] + ((A,) + stacks[s],) + stacks[s + 1 :]) if push else stacks))
     elif cls.kind == RETURN:
         s = cls.stack - 1
         bottom = a.bottom
@@ -148,27 +169,50 @@ def mvpa_step(a: Mvpa, configs, symbol: str) -> frozenset:
             for A, q2 in rows((q, symbol), ()):
                 if A == bottom:
                     if not st:
-                        out.add((q2, stacks))
+                        add((q2, stacks))
                 elif st and st[0] == A:
-                    out.add((q2, stacks[:s] + (st[1:],) + stacks[s + 1 :]))
+                    add((q2, stacks[:s] + (st[1:],) + stacks[s + 1 :]))
     else:
         rows = a._int.get
         for q, stacks in configs:
             for q2 in rows((q, symbol), ()):
-                out.add((q2, stacks))
-    return frozenset(out)
+                add((q2, stacks))
+    return out
+
+
+def mvpa_step(a: Mvpa, configs, symbol: str) -> frozenset:
+    """All configurations reachable from ``configs`` by reading one symbol.
+
+    Every call pushes: the next symbols are unknown, so any call may still
+    be matched.
+    """
+    return frozenset(_moves(a, configs, symbol, a.alphabet.classify(symbol), True))
 
 
 def mvpa_accepts(a: Mvpa, tokens) -> bool:
-    """Whether some run over the token sequence ends in a final state."""
+    """Whether some run over the token sequence ends in a final state.
+
+    A pending call, one that no later return matches, pushes nothing: every
+    later return on its stack matches a later call, so the symbol it would
+    push is never read, and dropping it merges configurations that differ
+    only below the part of the stack the rest of the word reads.
+    """
     tokens = tuple(tokens)
     if not tokens:
         raise EmptyWord("automata accept non-empty words only")
+    classes = [a.alphabet.classify(symbol) for symbol in tokens]
+    open_calls = [[] for _ in range(a.alphabet.k)]
+    for i, cls in enumerate(classes):
+        if cls.kind == CALL:
+            open_calls[cls.stack - 1].append(i)
+        elif cls.kind == RETURN and open_calls[cls.stack - 1]:
+            open_calls[cls.stack - 1].pop()
+    pending = set(chain.from_iterable(open_calls))
     configs = mvpa_initial_configs(a)
-    for symbol in tokens:
+    for i, (symbol, cls) in enumerate(zip(tokens, classes)):
         if not configs:
             return False
-        configs = mvpa_step(a, configs, symbol)
+        configs = _moves(a, configs, symbol, cls, i not in pending)
     final = a.final
     return any(q in final for q, _ in configs)
 
@@ -192,17 +236,17 @@ class Mnwa:
         "delta2",
         "_d1",
         "_d2",
-        "_compiled",
     )
 
     def __init__(self, alphabet, states, initial, final, delta1, delta2, calling=()):
-        self.alphabet = alphabet
-        self.states = frozenset(states)
-        self.initial = frozenset(initial)
-        self.final = frozenset(final)
-        self.calling = frozenset(calling)
-        self.delta1 = frozenset(tuple(t) for t in delta1)
-        self.delta2 = frozenset(tuple(t) for t in delta2)
+        init = object.__setattr__
+        init(self, "alphabet", alphabet)
+        init(self, "states", frozenset(states))
+        init(self, "initial", frozenset(initial))
+        init(self, "final", frozenset(final))
+        init(self, "calling", frozenset(calling))
+        init(self, "delta1", frozenset(tuple(t) for t in delta1))
+        init(self, "delta2", frozenset(tuple(t) for t in delta2))
         _check_states(self.states, self.initial, self.final, self.calling)
         d1: dict = {}
         d2: dict = {}
@@ -217,9 +261,10 @@ class Mnwa:
                 )
             _check_states(self.states, (p, q, q2))
             d2.setdefault((p, q, a), []).append(q2)
-        self._d1 = {k: tuple(v) for k, v in d1.items()}
-        self._d2 = {k: tuple(v) for k, v in d2.items()}
-        self._compiled = None
+        init(self, "_d1", {k: tuple(v) for k, v in d1.items()})
+        init(self, "_d2", {k: tuple(v) for k, v in d2.items()})
+
+    __setattr__ = __delattr__ = _immutable
 
 
 def mnwa_run_check(b: Mnwa, word, run) -> bool:
@@ -254,42 +299,87 @@ def mnwa_run_check(b: Mnwa, word, run) -> bool:
 
 
 def mnwa_accepts(b: Mnwa, word) -> bool:
-    """Acceptance via the stack-machine equivalence (degeneralizing first if needed)."""
+    """Whether some run of ``b`` on the nested word ends in a final state.
+
+    The frontier holds pairs (state, states saved at the currently open
+    matched calls, in call order).  The word fixes which slot a matched
+    return reads, so it is found once per position.  A state in ``calling``
+    may be entered only at a matched call.
+    """
     if word.alphabet != b.alphabet:
         raise AlphabetMismatch("word and automaton alphabets differ")
-    compiled = b._compiled
-    if compiled is None:
-        plain = degeneralize(b) if b.calling else b
-        compiled = mnwa_to_mvpa(plain)
-        b._compiled = compiled
-    return mvpa_accepts(compiled, word.labels)
+    labels = word.labels
+    if not labels:
+        raise EmptyWord("automata accept non-empty words only")
+    mu = word._mu
+    mu_inv = word._mu_inv
+    d1 = b._d1.get
+    d2 = b._d2.get
+    calling = b.calling
+    frontier = {(q, ()) for q in b.initial}
+    open_calls = []  # the open matched calls, one per slot of the saved tuple
+    for i, a in enumerate(labels, start=1):
+        if not frontier:
+            return False
+        out = set()
+        add = out.add
+        if i in mu:
+            open_calls.append(i)
+            for q, saved in frontier:
+                for q2 in d1((q, a), ()):
+                    add((q2, saved + (q2,)))
+        elif i in mu_inv:
+            slot = open_calls.index(mu_inv[i])
+            del open_calls[slot]
+            for q, saved in frontier:
+                rest = saved[:slot] + saved[slot + 1 :]
+                for q2 in d2((saved[slot], q, a), ()):
+                    if q2 not in calling:
+                        add((q2, rest))
+        else:
+            for q, saved in frontier:
+                for q2 in d1((q, a), ()):
+                    if q2 not in calling:
+                        add((q2, saved))
+        frontier = out
+    final = b.final
+    return any(q in final for q, _ in frontier)
 
 
 def mvpa_to_mnwa(a: Mvpa) -> Mnwa:
-    """Language-preserving conversion; states remember the last pushed symbol."""
+    """Language-preserving conversion; states remember the last pushed symbol.
+
+    The pair (q, A) is named by joining the two names with ``|`` after
+    escaping each name's backslashes and bars with a backslash, so distinct
+    pairs get distinct names and names without either character are joined
+    unchanged.
+    """
     symbols = sorted(a.gamma) + [a.bottom]
-    states = [f"{q}|{A}" for q in sorted(a.states) for A in symbols]
+    name = {
+        (q, A): f"{_escape(q, '|')}|{_escape(A, '|')}" for q in sorted(a.states) for A in symbols
+    }
     delta1 = set()
     delta2 = set()
     for q, x, A2, q2 in a.delta_call:
+        target = name[q2, A2]
         for A in symbols:
-            delta1.add((f"{q}|{A}", x, f"{q2}|{A2}"))
+            delta1.add((name[q, A], x, target))
     blind = [(q, x, q2) for q, x, q2 in a.delta_internal]
     blind += [(q, x, q2) for q, x, A, q2 in a.delta_return if A == a.bottom]
     for q, x, q2 in blind:
         for A in symbols:
             for A2 in symbols:
-                delta1.add((f"{q}|{A}", x, f"{q2}|{A2}"))
+                delta1.add((name[q, A], x, name[q2, A2]))
     for q, x, B, q2 in a.delta_return:
         for p in a.states:
             for A in symbols:
                 for A2 in symbols:
-                    delta2.add((f"{p}|{B}", f"{q}|{A}", x, f"{q2}|{A2}"))
+                    delta2.add((name[p, B], name[q, A], x, name[q2, A2]))
     return Mnwa(
         a.alphabet,
-        states,
-        [f"{q}|{a.bottom}" for q in a.initial],
-        [f"{q}|{A}" for q in a.final for A in symbols],
+        name.values(),
+        [name[q, a.bottom] for q in a.initial],
+        [name[q, A] for q in a.final for A in symbols],
         delta1,
         delta2,
     )
@@ -381,10 +471,6 @@ def degeneralize(b: Mnwa) -> Mnwa:
     )
 
 
-def _escape(q) -> str:
-    return str(q).replace("\\", "\\\\").replace("&", "\\&")
-
-
 def product(b1: Mnwa, b2: Mnwa, mode: str) -> Mnwa:
     """Intersection as a synchronous product, union as a disjoint sum.
 
@@ -396,8 +482,8 @@ def product(b1: Mnwa, b2: Mnwa, mode: str) -> Mnwa:
     if b1.alphabet != b2.alphabet:
         raise AlphabetMismatch("product needs a common alphabet")
     if mode == "intersection":
-        names1 = [(q, _escape(q)) for q in sorted(b1.states)]
-        names2 = [(q, _escape(q)) for q in sorted(b2.states)]
+        names1 = [(q, _escape(q, "&")) for q in sorted(b1.states)]
+        names2 = [(q, _escape(q, "&")) for q in sorted(b2.states)]
         pair = {(q1, q2): f"{e1}&{e2}" for q1, e1 in names1 for q2, e2 in names2}
         states = list(pair.values())
         delta1 = set()

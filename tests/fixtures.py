@@ -134,3 +134,16 @@ def chain_gmnwa(word, calling_positions) -> Mnwa:
         delta2=delta2,
         calling=tuple(f"p{i}" for i in sorted(calling_positions)),
     )
+
+
+def guessing_mvpa() -> Mvpa:
+    """Pushes any of four symbols per call and reads none of them back, so
+    with every pending call kept on its stack the configurations grow
+    fourfold per call; accepts an even number of a-calls."""
+    gamma = ("A", "B", "C", "D")
+    delta_call = [(q, "b", g, q) for q in ("q0", "q1") for g in gamma]
+    delta_call += [("q0", "a", g, "q1") for g in gamma] + [("q1", "a", g, "q0") for g in gamma]
+    delta_return = [
+        (q, x, g, q) for q in ("q0", "q1") for x in ("a~", "b~") for g in gamma + ("#",)
+    ]
+    return Mvpa(S2, ("q0", "q1"), gamma, "#", ("q0",), ("q0",), delta_call, delta_return, ())

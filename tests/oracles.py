@@ -347,6 +347,7 @@ def random_mvpa(rng: random.Random, alphabet, n_states=5) -> Mvpa:
     gamma = ["A", "B"]
     delta_call = set()
     delta_return = set()
+    delta_internal = set()
     for q in states:
         for a in alphabet.calls():
             for _ in range(rng.randint(0, 2)):
@@ -356,10 +357,14 @@ def random_mvpa(rng: random.Random, alphabet, n_states=5) -> Mvpa:
                 delta_return.add(
                     (q, a, rng.choice(gamma + ["#"]), rng.choice(states))
                 )
+        for a in alphabet.internal:
+            for _ in range(rng.randint(0, 2)):
+                delta_internal.add((q, a, rng.choice(states)))
     initial = rng.sample(states, rng.randint(1, len(states)))
     final = rng.sample(states, rng.randint(1, len(states)))
     return Mvpa(
-        alphabet, states, gamma, "#", initial, final, delta_call, delta_return, ()
+        alphabet, states, gamma, "#", initial, final, delta_call, delta_return,
+        delta_internal,
     )
 
 

@@ -1,6 +1,7 @@
 """Stack machines, nested-word automata, and the three constructions."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -30,7 +31,7 @@ from nwtk.errors import (
     UnknownSymbol,
 )
 
-from fixtures import S2, S3, chain_gmnwa, loop_mnwa, loop_mvpa, word10
+from fixtures import S2, S2C, S3, chain_gmnwa, guessing_mvpa, loop_mnwa, loop_mvpa, word10
 from oracles import (
     accepts_by_run_search,
     find_accepting_run,
@@ -113,6 +114,19 @@ class TestMvpa:
                     tuple(len(st) for st in stacks) for _, stacks in configs
                 }
                 assert len(heights) <= 1
+
+    def test_pending_calls_push_nothing(self):
+        # every call of (a b)^4 is pending: keeping them on the stacks would
+        # give 4**8 configurations at the end
+        guessing = guessing_mvpa()
+        tracemalloc.start()
+        try:
+            accepted = mvpa_accepts(guessing, ("a", "b") * 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert accepted
+        assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +213,44 @@ class TestMvpaToMnwa:
         for tokens in iter_token_tuples(S2, 6):
             assert mvpa_accepts(a, tokens) == mnwa_accepts(b, nested(S2, tokens))
 
+    def test_pair_names_are_injective(self):
+        # (x|y, z) and (x, y|z) must stay two states: the stack machine rejects "a"
+        a = Mvpa(S2, ("x", "x|y"), ("y|z", "z"), "#", ("x",), ("x|y",),
+                 (("x", "a", "y|z", "x"),), (), ())
+        b = mvpa_to_mnwa(a)
+        assert len(b.states) == 6
+        assert not mvpa_accepts(a, ("a",))
+        assert not mnwa_accepts(b, nested(S2, ("a",)))
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.lists(st.text(alphabet="x|&.\\", min_size=1, max_size=2), min_size=5, max_size=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_separator_names_keep_the_language(self, seed, parts):
+        a, b, c, d, e = parts
+        # the pairs (a, b|c) and (a|b, c) read alike when glued with a bare "|"
+        states, letters = [a, f"{a}|{b}", d], {"A": f"{b}|{c}", "B": c, "#": e}
+        assume(len(set(states)) == 3 and len(set(letters.values())) == 3)
+        bare = Mvpa(S2, states, (letters["A"], c), e, states[:1], (), (), (), ())
+        assert len(mvpa_to_mnwa(bare).states) == 9
+        to = {f"s{i}": name for i, name in enumerate(states)}
+        m = random_mvpa(random.Random(seed), S2, n_states=3)
+        m = Mvpa(
+            S2,
+            [to[q] for q in m.states],
+            [letters[A] for A in m.gamma],
+            letters[m.bottom],
+            [to[q] for q in m.initial],
+            [to[q] for q in m.final],
+            [(to[q], x, letters[A], to[q2]) for q, x, A, q2 in m.delta_call],
+            [(to[q], x, letters[A], to[q2]) for q, x, A, q2 in m.delta_return],
+            (),
+        )
+        converted = mvpa_to_mnwa(m)
+        for tokens in iter_token_tuples(S2, 4):
+            assert mvpa_accepts(m, tokens) == mnwa_accepts(converted, nested(S2, tokens)), tokens
+
 
 class TestMnwaToMvpa:
     def test_gamma_is_the_state_set(self):
@@ -269,6 +321,68 @@ class TestDegeneralize:
                     tokens,
                     sorted(b.delta1),
                 )
+
+
+# ---------------------------------------------------------------------------
+# the acceptance engine against references that share none of its code
+
+def accepts_by_stepping(a: Mvpa, tokens) -> bool:
+    """Final-state test over a fold of ``mvpa_step``, where every call pushes."""
+    configs = mvpa_initial_configs(a)
+    for symbol in tokens:
+        configs = mvpa_step(a, configs, symbol)
+    return any(q in a.final for q, _ in configs)
+
+
+class TestEngine:
+    @pytest.mark.parametrize("alphabet, n", [(S2, 6), (S2C, 6), (S3, 5)], ids=["S2", "S2C", "S3"])
+    def test_mnwa_matches_run_search(self, alphabet, n):
+        rng = random.Random(23)
+        words = [nested(alphabet, tokens) for tokens in iter_token_tuples(alphabet, n)]
+        verdicts = set()
+        for k in range(6):
+            b = random_mnwa(rng, alphabet, n_states=4, with_calling=k % 2 == 0)
+            for w in words:
+                verdict = accepts_by_run_search(b, w)
+                assert mnwa_accepts(b, w) == verdict, (k, w.labels)
+                verdicts.add((bool(b.calling), verdict))
+        assert len(verdicts) == 4
+
+    @pytest.mark.parametrize("alphabet", [S2, S2C], ids=["S2", "S2C"])
+    def test_mvpa_matches_stepping(self, alphabet):
+        rng = random.Random(29)
+        verdicts = set()
+        for k in range(6):
+            a = random_mvpa(rng, alphabet)
+            for tokens in iter_token_tuples(alphabet, 6):
+                verdict = accepts_by_stepping(a, tokens)
+                assert mvpa_accepts(a, tokens) == verdict, (k, tokens)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("alphabet, n", [(S2, 5), (S2C, 4), (S3, 4)], ids=["S2", "S2C", "S3"])
+    def test_constructions_agree_with_engine(self, alphabet, n):
+        rng = random.Random(31)
+        for k in range(4):
+            b = random_mnwa(rng, alphabet, n_states=3, with_calling=k % 2 == 0)
+            plain = degeneralize(b)
+            stack = mnwa_to_mvpa(plain if b.calling else b)
+            for tokens in iter_token_tuples(alphabet, n):
+                w = nested(alphabet, tokens)
+                verdict = mnwa_accepts(b, w)
+                assert mnwa_accepts(plain, w) == verdict, (k, tokens)
+                assert mvpa_accepts(stack, tokens) == verdict, (k, tokens)
+
+
+def test_automata_are_immutable():
+    for machine in (loop_mvpa(), loop_mnwa()):
+        with pytest.raises(AttributeError):
+            machine.states = frozenset()
+        with pytest.raises(AttributeError):
+            del machine.final
+        with pytest.raises(AttributeError):
+            machine.alphabet = S3
+    assert mvpa_accepts(loop_mvpa(), ACCEPT) and mnwa_accepts(loop_mnwa(), nested(S2, ACCEPT))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from nwtk.cli import main
 from nwtk.core import alphabet_to_json, nested
 from nwtk.spheres import sphere, sphere_to_json
 
-from fixtures import GRID34, S2, WORD10, loop_mnwa, loop_mvpa
+from fixtures import GRID34, S2, WORD10, guessing_mvpa, loop_mnwa, loop_mvpa
 
 runner = CliRunner()
 
@@ -96,6 +96,33 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", machine, words])
         assert result.exit_code == 1
         assert result.output == "ACCEPT\nREJECT\n"
+
+    GOLDEN_WORDS = (
+        "a b a~ b~\na a~ a\nb a b~ a~\na~ b\na b b~\na b a b a b a b\nb a~ a b~ a"
+    )
+
+    def test_golden_calling_states(self, files, tmp_path):
+        # an a-call must enter the calling state c, so every a must be matched
+        qc = ("q", "c")
+        delta1 = [["q", "a", "c"], ["c", "a", "c"]]
+        delta1 += [[p, x, "q"] for p in qc for x in ("b", "a~", "b~")]
+        data = {
+            "kind": "mnwa", "alphabet": alphabet_to_json(S2), "states": ["c", "q"],
+            "initial": ["q"], "final": ["q"], "calling": ["c"], "delta1": delta1,
+            "delta2": [[p, r, x, "q"] for p in qc for r in qc for x in ("a~", "b~")],
+        }
+        machine = write_json(tmp_path, "m.json", data)
+        result = runner.invoke(main, ["simulate", machine, files("w.txt", self.GOLDEN_WORDS)])
+        assert result.exit_code == 1
+        assert result.output == "ACCEPT\nREJECT\nACCEPT\nACCEPT\nREJECT\nREJECT\nREJECT\n"
+
+    def test_golden_pending_calls(self, files, tmp_path):
+        # each call pushes any of four symbols; accepts an even number of a-calls
+        data = automaton_to_json(guessing_mvpa())
+        machine = write_json(tmp_path, "m.json", data)
+        result = runner.invoke(main, ["simulate", machine, files("w.txt", self.GOLDEN_WORDS)])
+        assert result.exit_code == 1
+        assert result.output == "REJECT\nACCEPT\nREJECT\nACCEPT\nREJECT\nACCEPT\nACCEPT\n"
 
     @pytest.mark.parametrize(
         "field, value",
