@@ -17,6 +17,10 @@ rows at pending calls without pushing, since nothing ever pops those
 symbols.  Neither goes through a conversion; the constructions are checked
 against this engine, and an independent run search in ``tests/oracles.py``
 checks the engine.
+
+A construction names each state it derives by the tuple of what it pairs
+(states, flags or stack symbols); ``automaton_to_json`` writes a tuple as a
+JSON array, and ``automaton_from_json`` reads an array back as a tuple.
 """
 
 from __future__ import annotations
@@ -64,11 +68,6 @@ def _check_states(states, *groups):
         for q in group:
             if q not in states:
                 raise NwtkError(f"unknown state {q!r}")
-
-
-def _escape(q, separator: str) -> str:
-    """The name ``q`` with each backslash and ``separator`` escaped by a backslash."""
-    return str(q).replace("\\", "\\\\").replace(separator, "\\" + separator)
 
 
 class Mvpa:
@@ -347,39 +346,30 @@ def mnwa_accepts(b: Mnwa, word) -> bool:
 
 
 def mvpa_to_mnwa(a: Mvpa) -> Mnwa:
-    """Language-preserving conversion; states remember the last pushed symbol.
-
-    The pair (q, A) is named by joining the two names with ``|`` after
-    escaping each name's backslashes and bars with a backslash, so distinct
-    pairs get distinct names and names without either character are joined
-    unchanged.
-    """
-    symbols = sorted(a.gamma) + [a.bottom]
-    name = {
-        (q, A): f"{_escape(q, '|')}|{_escape(A, '|')}" for q in sorted(a.states) for A in symbols
-    }
+    """Language-preserving conversion; the state (q, A) remembers the last
+    pushed symbol A."""
+    symbols = (*a.gamma, a.bottom)
     delta1 = set()
     delta2 = set()
     for q, x, A2, q2 in a.delta_call:
-        target = name[q2, A2]
         for A in symbols:
-            delta1.add((name[q, A], x, target))
+            delta1.add(((q, A), x, (q2, A2)))
     blind = [(q, x, q2) for q, x, q2 in a.delta_internal]
     blind += [(q, x, q2) for q, x, A, q2 in a.delta_return if A == a.bottom]
     for q, x, q2 in blind:
         for A in symbols:
             for A2 in symbols:
-                delta1.add((name[q, A], x, name[q2, A2]))
+                delta1.add(((q, A), x, (q2, A2)))
     for q, x, B, q2 in a.delta_return:
         for p in a.states:
             for A in symbols:
                 for A2 in symbols:
-                    delta2.add((name[p, B], name[q, A], x, name[q2, A2]))
+                    delta2.add(((p, B), (q, A), x, (q2, A2)))
     return Mnwa(
         a.alphabet,
-        name.values(),
-        [name[q, a.bottom] for q in a.initial],
-        [name[q, A] for q in a.final for A in symbols],
+        [(q, A) for q in a.states for A in symbols],
+        [(q, a.bottom) for q in a.initial],
+        [(q, A) for q in a.final for A in symbols],
         delta1,
         delta2,
     )
@@ -422,7 +412,17 @@ def mnwa_to_mvpa(b: Mnwa) -> Mvpa:
     )
 
 
-_FLAG_NEXT_D1 = {0: "0", 1: "2", 2: "2"}
+_FLAG_AGED = {"0": "0", "1": "2", "2": "2"}
+
+
+def _flags_after_step(flags: str, raised) -> str:
+    """``flags`` after a plain step that raises the flag of stack ``raised``."""
+    return "".join("1" if s == raised and c == "0" else _FLAG_AGED[c] for s, c in enumerate(flags))
+
+
+def _flags_after_return(call_flags: str, flags: str) -> str:
+    """``flags`` after a matched return, which clears the flags its call raised."""
+    return "".join("0" if c == "1" else v for c, v in zip(call_flags, flags))
 
 
 def degeneralize(b: Mnwa) -> Mnwa:
@@ -432,104 +432,102 @@ def degeneralize(b: Mnwa) -> Mnwa:
     stack, aged to 2 by any later plain step, and cleared exactly by the
     return matching the raising call.  Accepting flag vectors are all-zero,
     so every visit to a calling state must have been at a matched call.
+
+    The states are the pairs (q, flags) reachable from the initial states
+    (q, "0" * k), found by one worklist.  A matched-return row joins the
+    state at the call with the state before the return, so each newly found
+    state is paired with every state found so far, in both orders.
     """
-    k = b.alphabet.k
-    vectors = ["".join(v) for v in iproduct("012", repeat=k)]
-    zero = "0" * k
     classify = b.alphabet.classify
     calling = b.calling
-    delta1 = set()
-    delta2 = set()
+    steps: dict = {}  # q -> (a, q2, the stack whose flag is raised, or None)
     for q, a, q2 in b.delta1:
         cls = classify(a)
-        if q2 in calling and cls.kind != CALL:
-            continue
-        raised = cls.stack - 1 if (q2 in calling and cls.kind == CALL) else None
-        for vec in vectors:
-            nxt = "".join(
-                "1" if s == raised and c == "0" else _FLAG_NEXT_D1[int(c)]
-                for s, c in enumerate(vec)
-            )
-            delta1.add((f"{q}|{vec}", a, f"{q2}|{nxt}"))
+        if q2 not in calling or cls.kind == CALL:
+            steps.setdefault(q, []).append((a, q2, cls.stack - 1 if q2 in calling else None))
+    by_call: dict = {}  # p -> (q, a, q2) for the matched-return rows (p, q, a, q2)
+    by_last: dict = {}  # q -> (p, a, q2)
     for p, q, a, q2 in b.delta2:
-        if q2 in calling:
-            continue
-        for cvec in vectors:
-            for vec in vectors:
-                nxt = "".join(
-                    "0" if cv == "1" else v for cv, v in zip(cvec, vec)
-                )
-                delta2.add((f"{p}|{cvec}", f"{q}|{vec}", a, f"{q2}|{nxt}"))
-    states = [f"{q}|{vec}" for q in sorted(b.states) for vec in vectors]
+        if q2 not in calling:
+            by_call.setdefault(p, []).append((q, a, q2))
+            by_last.setdefault(q, []).append((p, a, q2))
+    zero = "0" * b.alphabet.k
+    seen = {(q, zero) for q in b.initial}
+    todo = list(seen)
+    done: dict = {}  # q -> flags of the states (q, flags) taken from todo
+    delta1 = set()
+    delta2 = set()
+    while todo:
+        state = todo.pop()
+        q, flags = state
+        done.setdefault(q, []).append(flags)
+        rows1 = {
+            (state, a, (q2, _flags_after_step(flags, raised)))
+            for a, q2, raised in steps.get(q, ())
+        }
+        rows2 = {
+            (state, (last, f), a, (q2, _flags_after_return(flags, f)))
+            for last, a, q2 in by_call.get(q, ())
+            for f in done.get(last, ())
+        }
+        rows2.update(
+            ((p, f), state, a, (q2, _flags_after_return(f, flags)))
+            for p, a, q2 in by_last.get(q, ())
+            for f in done.get(p, ())
+        )
+        delta1 |= rows1
+        delta2 |= rows2
+        new = {row[-1] for row in chain(rows1, rows2)} - seen
+        seen |= new
+        todo.extend(new)
     return Mnwa(
         b.alphabet,
-        states,
-        [f"{q}|{zero}" for q in b.initial],
-        [f"{q}|{zero}" for q in b.final],
+        seen,
+        [(q, zero) for q in b.initial],
+        [(q, zero) for q in b.final if (q, zero) in seen],
         delta1,
         delta2,
     )
 
 
 def product(b1: Mnwa, b2: Mnwa, mode: str) -> Mnwa:
-    """Intersection as a synchronous product, union as a disjoint sum.
-
-    The intersection names the pair (q1, q2) by joining the two names with
-    ``&`` after escaping each name's backslashes and ampersands with a
-    backslash; distinct pairs of string names thus get distinct names, and
-    names without either character are joined unchanged.
-    """
+    """Intersection as a synchronous product on the pairs (q1, q2); union as
+    a disjoint sum on the states (1, q1) and (2, q2)."""
     if b1.alphabet != b2.alphabet:
         raise AlphabetMismatch("product needs a common alphabet")
     if mode == "intersection":
-        names1 = [(q, _escape(q, "&")) for q in sorted(b1.states)]
-        names2 = [(q, _escape(q, "&")) for q in sorted(b2.states)]
-        pair = {(q1, q2): f"{e1}&{e2}" for q1, e1 in names1 for q2, e2 in names2}
-        states = list(pair.values())
-        delta1 = set()
-        for (q1, a, r1) in b1.delta1:
-            for (q2, a2, r2) in b2.delta1:
-                if a == a2:
-                    delta1.add((pair[q1, q2], a, pair[r1, r2]))
-        delta2 = set()
-        for (p1, q1, a, r1) in b1.delta2:
-            for (p2, q2, a2, r2) in b2.delta2:
-                if a == a2:
-                    delta2.add((pair[p1, p2], pair[q1, q2], a, pair[r1, r2]))
-        calling = {
-            pair[q1, q2]
-            for q1 in b1.states
-            for q2 in b2.states
-            if q1 in b1.calling or q2 in b2.calling
+        delta1 = {
+            ((q1, q2), a, (r1, r2))
+            for q1, a, r1 in b1.delta1
+            for q2, a2, r2 in b2.delta1
+            if a == a2
+        }
+        delta2 = {
+            ((p1, p2), (q1, q2), a, (r1, r2))
+            for p1, q1, a, r1 in b1.delta2
+            for p2, q2, a2, r2 in b2.delta2
+            if a == a2
         }
         return Mnwa(
             b1.alphabet,
-            states,
-            [pair[q1, q2] for q1 in b1.initial for q2 in b2.initial],
-            [pair[q1, q2] for q1 in b1.final for q2 in b2.final],
+            iproduct(b1.states, b2.states),
+            iproduct(b1.initial, b2.initial),
+            iproduct(b1.final, b2.final),
             delta1,
             delta2,
-            calling,
+            [(q1, q2) for q1, q2 in iproduct(b1.states, b2.states)
+             if q1 in b1.calling or q2 in b2.calling],
         )
     if mode == "union":
-        def tag(side, q):
-            return f"{side}.{q}"
-
-        states = [tag(1, q) for q in sorted(b1.states)] + [tag(2, q) for q in sorted(b2.states)]
-        delta1 = {(tag(1, q), a, tag(1, r)) for q, a, r in b1.delta1} | {
-            (tag(2, q), a, tag(2, r)) for q, a, r in b2.delta1
-        }
-        delta2 = {(tag(1, p), tag(1, q), a, tag(1, r)) for p, q, a, r in b1.delta2} | {
-            (tag(2, p), tag(2, q), a, tag(2, r)) for p, q, a, r in b2.delta2
-        }
+        sides = ((1, b1), (2, b2))
         return Mnwa(
             b1.alphabet,
-            states,
-            [tag(1, q) for q in b1.initial] + [tag(2, q) for q in b2.initial],
-            [tag(1, q) for q in b1.final] + [tag(2, q) for q in b2.final],
-            delta1,
-            delta2,
-            {tag(1, q) for q in b1.calling} | {tag(2, q) for q in b2.calling},
+            [(side, q) for side, b in sides for q in b.states],
+            [(side, q) for side, b in sides for q in b.initial],
+            [(side, q) for side, b in sides for q in b.final],
+            [((side, q), a, (side, r)) for side, b in sides for q, a, r in b.delta1],
+            [((side, p), (side, q), a, (side, r)) for side, b in sides for p, q, a, r in b.delta2],
+            [(side, q) for side, b in sides for q in b.calling],
         )
     raise NwtkError(f"unknown product mode {mode!r}")
 
@@ -537,38 +535,52 @@ def product(b1: Mnwa, b2: Mnwa, mode: str) -> Mnwa:
 # ---------------------------------------------------------------------------
 # serialization
 
+def _sorted(values) -> list:
+    """``values`` in their natural order, or ordered by ``repr`` when names
+    of different JSON types, which have no common order, are compared."""
+    values = list(values)
+    try:
+        values.sort()
+    except TypeError:
+        values.sort(key=repr)
+    return values
+
+
 def automaton_to_json(a) -> dict:
+    """``a`` as a JSON document; a tuple name is written as an array."""
     if isinstance(a, Mvpa):
         return {
             "kind": "mvpa",
             "alphabet": alphabet_to_json(a.alphabet),
-            "states": sorted(a.states),
-            "initial": sorted(a.initial),
-            "final": sorted(a.final),
+            "states": _sorted(a.states),
+            "initial": _sorted(a.initial),
+            "final": _sorted(a.final),
             "bottom": a.bottom,
-            "gamma": sorted(a.gamma),
-            "delta_call": sorted(list(t) for t in a.delta_call),
-            "delta_return": sorted(list(t) for t in a.delta_return),
-            "delta_internal": sorted(list(t) for t in a.delta_internal),
+            "gamma": _sorted(a.gamma),
+            "delta_call": _sorted(map(list, a.delta_call)),
+            "delta_return": _sorted(map(list, a.delta_return)),
+            "delta_internal": _sorted(map(list, a.delta_internal)),
         }
     if isinstance(a, Mnwa):
         return {
             "kind": "mnwa",
             "alphabet": alphabet_to_json(a.alphabet),
-            "states": sorted(a.states),
-            "initial": sorted(a.initial),
-            "final": sorted(a.final),
-            "calling": sorted(a.calling),
-            "delta1": sorted(list(t) for t in a.delta1),
-            "delta2": sorted(list(t) for t in a.delta2),
+            "states": _sorted(a.states),
+            "initial": _sorted(a.initial),
+            "final": _sorted(a.final),
+            "calling": _sorted(a.calling),
+            "delta1": _sorted(map(list, a.delta1)),
+            "delta2": _sorted(map(list, a.delta2)),
         }
     raise NwtkError(f"not an automaton: {a!r}")
 
 
-# a name is a JSON value usable as a state, stack symbol or letter
-_NAME_TYPES = frozenset({str, int, float, bool, type(None)})
-_NAME = "a name"
-_NAMES = "a list of names"
+# a name, usable as a state, stack symbol or letter, is a JSON string,
+# integer or null, or an array of names, read as a tuple; booleans and
+# floats are not names, as True == 1 == 1.0 would merge distinct states
+_NAME_TYPES = frozenset({str, int, type(None)})
+_NAME = "a name (a string, an integer, null or an array of names)"
+_NAMES = "a list of names (strings, integers, nulls or arrays of names)"
 
 # per kind: the class and its fields after the alphabet, in constructor
 # order, each with its shape (a row width for a list of transition rows);
@@ -601,20 +613,30 @@ _JSON_SCHEMA = {
 }
 
 
-def _has_shape(value, shape) -> bool:
-    # type and length checks run over whole lists at C speed: this is on
-    # the path of every automaton read
+def _name(value):
+    """The name ``value`` with each array made a tuple; TypeError if it is none."""
+    if type(value) in _NAME_TYPES:
+        return value
+    if type(value) in (list, tuple):
+        return tuple(map(_name, value))
+    raise TypeError(value)
+
+
+def _read(value, shape):
+    """``value`` with each array name made a tuple; TypeError if it lacks ``shape``."""
     if shape == _NAME:
-        return type(value) in _NAME_TYPES
+        return _name(value)
     if type(value) is not list:
-        return False
+        raise TypeError(value)
+    # lists of plain names are checked at C speed: this is on the path of
+    # every automaton read
     if shape == _NAMES:
-        return _NAME_TYPES.issuperset(map(type, value))
-    return (
-        {list}.issuperset(map(type, value))
-        and {shape}.issuperset(map(len, value))
-        and _NAME_TYPES.issuperset(map(type, chain.from_iterable(value)))
-    )
+        return value if _NAME_TYPES.issuperset(map(type, value)) else list(map(_name, value))
+    if not ({list}.issuperset(map(type, value)) and {shape}.issuperset(map(len, value))):
+        raise TypeError(value)
+    if _NAME_TYPES.issuperset(map(type, chain.from_iterable(value))):
+        return value
+    return [list(map(_name, row)) for row in value]
 
 
 def automaton_from_json(data):
@@ -631,11 +653,13 @@ def automaton_from_json(data):
     if missing:
         raise NwtkError(f"{kind} automaton lacks {', '.join(sorted(missing))}")
     alphabet = validate_alphabet(data["alphabet"])
-    values = [data.get(field, []) for field in fields]
-    for field, shape, value in zip(fields, fields.values(), values):
-        if not _has_shape(value, shape):
+    values = []
+    for field, shape in fields.items():
+        try:
+            values.append(_read(data.get(field, []), shape))
+        except TypeError:
             expected = shape if isinstance(shape, str) else f"a list of {shape}-element rows"
-            raise NwtkError(f'"{field}" must be {expected}')
+            raise NwtkError(f'"{field}" must be {expected}') from None
     return cls(alphabet, *values)
 
 

@@ -200,11 +200,10 @@ def sphere_run(word_file, radius, alphabet_path, dot):
                 center = sphere_automaton.eta(state)
                 click.echo(spheres.sphere_to_dot(center, name=f"pos{i}"))
                 continue
-            preds = sphere_automaton.state_predicates(state)
             click.echo(
                 f"position {i}: members={len(state.members)} "
-                f"final={str(preds.final).lower()} "
-                f"calling={str(preds.calling).lower()}"
+                f"final={str(state.final).lower()} "
+                f"calling={str(state.calling).lower()}"
             )
             for member in state.members:
                 click.echo(

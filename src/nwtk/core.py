@@ -10,7 +10,6 @@ public interface.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -22,6 +21,7 @@ from .errors import (
     PositionOutOfRange,
     UnknownSymbol,
 )
+from .spheres import _bfs, _word_neighbours
 
 CALL = "call"
 RETURN = "return"
@@ -204,20 +204,6 @@ class NestedWord:
         stack_of = self._stack_of
         return sorted((i, j, stack_of[i]) for i, j in self._mu.items())
 
-    def neighbors(self, i: int):
-        """Adjacent positions: predecessor, successor, and the matching partner."""
-        out = []
-        if i > 1:
-            out.append(i - 1)
-        if i < len(self.labels):
-            out.append(i + 1)
-        j = self._mu.get(i)
-        if j is None:
-            j = self._mu_inv.get(i)
-        if j is not None:
-            out.append(j)
-        return out
-
     # logic-evaluation hooks (see logic.eval)
     def universe(self):
         return range(1, len(self.labels) + 1)
@@ -304,32 +290,14 @@ def is_well_formed(alphabet: CallReturnAlphabet, tokens, stack: int) -> bool:
     return depth == 0
 
 
-def distance(word: NestedWord, i: int, j: int):
-    """Length of a shortest path along successor and matching edges.
-
-    Within one word every pair is connected; the walk over an arbitrary
-    substructure may not be, in which case ``math.inf`` would be the
-    natural answer and ``None`` is returned here.
-    """
+def distance(word: NestedWord, i: int, j: int) -> int:
+    """Length of a shortest path along successor and matching edges; within
+    one word every pair of positions is connected."""
     n = len(word)
-    if not 1 <= i <= n:
-        raise PositionOutOfRange(f"position {i} not in 1..{n}")
-    if not 1 <= j <= n:
-        raise PositionOutOfRange(f"position {j} not in 1..{n}")
-    if i == j:
-        return 0
-    seen = {i: 0}
-    queue = deque((i,))
-    while queue:
-        v = queue.popleft()
-        d = seen[v] + 1
-        for u in word.neighbors(v):
-            if u == j:
-                return d
-            if u not in seen:
-                seen[u] = d
-                queue.append(u)
-    return None
+    for p in (i, j):
+        if not 1 <= p <= n:
+            raise PositionOutOfRange(f"position {p} not in 1..{n}")
+    return _bfs(i, _word_neighbours(word), n)[1][j]
 
 
 def iter_token_tuples(alphabet: CallReturnAlphabet, max_len: int):

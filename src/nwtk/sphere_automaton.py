@@ -25,8 +25,6 @@ __all__ = [
     "ExtendedSphere",
     "SphereState",
     "EMPTY_STATE",
-    "StatePredicates",
-    "state_predicates",
     "delta_allows",
     "eta",
     "OverlapColoring",
@@ -113,22 +111,6 @@ class SphereState:
 
 
 EMPTY_STATE = SphereState(())
-
-
-@dataclass(frozen=True)
-class StatePredicates:
-    valid: bool
-    final: bool
-    calling: bool
-
-
-def state_predicates(state: SphereState) -> StatePredicates:
-    """Role of a state; the empty state is the unique initial state."""
-    return StatePredicates(
-        valid=state.valid,
-        final=state.final,
-        calling=state.calling,
-    )
 
 
 def _require_valid(*states):

@@ -179,7 +179,7 @@ def test_04_degeneralization(words8):
     chain = chain_gmnwa(word10(), {1, 2, 3, 4})
     run = find_accepting_run(degeneralize(chain), word10())
     assert run is not None
-    assert ["00"] + [q.split("|")[1] for q in run] == EXPECTED_FLAGS
+    assert ["00"] + [q[1] for q in run] == EXPECTED_FLAGS
     rng = random.Random(41)
     checked = 0
     for _ in range(20):

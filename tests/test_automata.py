@@ -1,5 +1,6 @@
 """Stack machines, nested-word automata, and the three constructions."""
 
+import json
 import random
 import tracemalloc
 
@@ -200,7 +201,7 @@ class TestMvpaToMnwa:
         b = mvpa_to_mnwa(loop_mvpa())
         for alpha in ("$", "#"):
             for alpha2 in ("$", "#"):
-                assert ("q2|$", f"q3|{alpha}", "a~", f"q3|{alpha2}") in b.delta2
+                assert (("q2", "$"), ("q3", alpha), "a~", ("q3", alpha2)) in b.delta2
 
     def test_empty_delta(self):
         a = Mvpa(S2, ("q",), ("$",), "#", ("q",), ("q",), (), (), ())
@@ -287,7 +288,7 @@ class TestDegeneralize:
         chain = chain_gmnwa(w, {1, 2, 3, 4})
         run = find_accepting_run(degeneralize(chain), w)
         assert run is not None
-        assert ["00"] + [q.split("|")[1] for q in run] == EXPECTED_FLAGS
+        assert ["00"] + [q[1] for q in run] == EXPECTED_FLAGS
 
     def test_flag_trace_oracle_agrees(self):
         vecs = flag_trace(word10(), {1, 2, 3, 4})
@@ -315,6 +316,14 @@ class TestDegeneralize:
         for _ in range(5):
             b = random_mnwa(rng, S2, n_states=3, with_calling=True)
             d = degeneralize(b)
+            reached = set(d.initial)
+            while True:
+                more = {q2 for q, _, q2 in d.delta1 if q in reached}
+                more |= {q2 for p, q, _, q2 in d.delta2 if p in reached and q in reached}
+                if more <= reached:
+                    break
+                reached |= more
+            assert reached == d.states
             for tokens in iter_token_tuples(S2, 4):
                 w = nested(S2, tokens)
                 assert accepts_by_run_search(b, w) == mnwa_accepts(d, w), (
@@ -433,9 +442,9 @@ class TestProduct:
         b1 = Mnwa(S2, ("p",), ("p",), ("p",), (), (), calling=("p",))
         b2 = Mnwa(S2, ("q",), ("q",), ("q",), (), ())
         inter = product(b1, b2, "intersection")
-        assert inter.calling == frozenset({"p&q"})
+        assert inter.calling == frozenset({("p", "q")})
         uni = product(b1, b2, "union")
-        assert uni.calling == frozenset({"1.p"})
+        assert uni.calling == frozenset({(1, "p")})
 
     def test_pair_names_are_injective(self):
         # (x&y, z) and (x, y&z) must stay two states: each operand rejects "a"
@@ -482,10 +491,17 @@ class TestProduct:
 # serialization
 
 def test_json_round_trips():
-    for a in (loop_mvpa(), loop_mnwa(), chain_gmnwa(word10(), {1, 2})):
+    derived = (
+        mvpa_to_mnwa(loop_mvpa()),
+        degeneralize(chain_gmnwa(word10(), {1, 2})),
+        product(loop_mnwa(), contains_mnwa(S2, "a"), "union"),
+    )
+    for a in (loop_mvpa(), loop_mnwa(), chain_gmnwa(word10(), {1, 2})) + derived:
         data = automaton_to_json(a)
         again = automaton_from_json(data)
         assert automaton_to_json(again) == data
+        # derived names are tuples, written as arrays and read back as tuples
+        assert automaton_from_json(json.dumps(data)).states == a.states
 
 
 def test_json_rejects_unknown_kind():

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from nwtk.automata import Mnwa, automaton_to_json, load_automaton
 from nwtk.cli import main
-from nwtk.core import alphabet_to_json, nested
+from nwtk.core import alphabet_to_json, iter_token_tuples, nested
 from nwtk.spheres import sphere, sphere_to_json
 
 from fixtures import GRID34, S2, WORD10, guessing_mvpa, loop_mnwa, loop_mvpa
@@ -140,6 +140,18 @@ class TestSimulate:
         assert_input_error(result)
 
 
+    @pytest.mark.parametrize("odd", [True, 1.0], ids=["bool", "float"])
+    def test_bool_and_float_names_are_rejected(self, odd, files, tmp_path):
+        # True == 1.0 == 1 would merge the two states and accept "a"
+        data = {
+            "kind": "mnwa", "alphabet": alphabet_to_json(S2), "states": [1, odd],
+            "initial": [1], "final": [odd], "delta1": [[1, "a", 1]], "delta2": [],
+        }
+        machine = write_json(tmp_path, "m.json", data)
+        result = runner.invoke(main, ["simulate", machine, files("w.txt", "a")])
+        assert_input_error(result)
+
+
 class TestConvert:
     def test_mvpa_to_mnwa(self, tmp_path):
         machine = write_json(tmp_path, "m.json", automaton_to_json(loop_mvpa()))
@@ -181,6 +193,56 @@ class TestProduct:
         machine = write_json(tmp_path, "m.json", automaton_to_json(loop_mnwa()))
         result = runner.invoke(main, ["product", machine, machine])
         assert result.exit_code == 2
+
+
+def two_state_mnwa(p, q, calling=()):
+    """An S2 machine on the states ``p`` and ``q`` that accepts some words of
+    length at most 4 and rejects others."""
+    return {
+        "kind": "mnwa", "alphabet": alphabet_to_json(S2), "states": [p, q],
+        "initial": [p], "final": [q], "calling": list(calling),
+        "delta1": [[p, "a", q], [q, "a", p], [p, "b", p], [q, "b", q], [p, "a~", p], [q, "b~", p]],
+        "delta2": [[q, p, "a~", q], [p, q, "b~", q], [q, q, "a~", p]],
+    }
+
+
+class TestDerivedNames:
+    """Names of different JSON types, and derived names written as arrays."""
+
+    @pytest.mark.parametrize(
+        "states, calling, commands",
+        [
+            ([0, 1], (), ["convert"]),
+            ([1, "1"], (), ["convert"]),
+            ([1, "1"], (1,), ["degeneralize"]),
+            ([1, "1"], (1,), ["degeneralize", "degeneralize"]),
+            (["p", "q"], (), ["convert", "convert"]),
+        ],
+        ids=["int-convert", "mixed-convert", "mixed-degeneralize", "degeneralize-twice",
+             "convert-twice"],
+    )
+    def test_output_reloads_with_the_same_verdicts(self, states, calling, commands, files,
+                                                   tmp_path):
+        machine = write_json(tmp_path, "m.json", two_state_mnwa(*states, calling))
+        words = files("w.txt", "\n".join(" ".join(t) for t in iter_token_tuples(S2, 4)))
+        want = runner.invoke(main, ["simulate", machine, words])
+        assert want.exit_code == 1 and {"ACCEPT", "REJECT"} == set(want.output.split())
+        built = machine
+        for step, command in enumerate(commands):
+            out = str(tmp_path / f"built{step}.json")
+            result = runner.invoke(main, [command, built, "-o", out])
+            assert result.exit_code == 0, result.output
+            built = out
+        got = runner.invoke(main, ["simulate", built, words])
+        assert (got.exit_code, got.output) == (want.exit_code, want.output)
+
+    def test_derived_states_are_arrays(self, tmp_path):
+        machine = write_json(tmp_path, "m.json", two_state_mnwa("p", "q", ("p",)))
+        result = runner.invoke(main, ["degeneralize", machine])
+        assert result.exit_code == 0
+        data = json.loads(result.output)
+        assert data["initial"] == [["p", "00"]]
+        assert all(isinstance(q, list) and len(q) == 2 for q in data["states"])
 
 
 class TestSpheres:

@@ -15,7 +15,6 @@ from nwtk.sphere_automaton import (
     chi_coloring,
     delta_allows,
     eta,
-    state_predicates,
 )
 from nwtk.spheres import max_size_bound, sphere, sphere_iso, sphere_key
 
@@ -32,12 +31,11 @@ def singleton_state(symbol, color=1):
 
 class TestStatePredicates:
     def test_empty_state(self):
-        p = state_predicates(EMPTY_STATE)
-        assert p.valid and p.final and not p.calling
+        assert EMPTY_STATE.valid and EMPTY_STATE.final and not EMPTY_STATE.calling
 
     def test_singleton(self):
-        p = state_predicates(singleton_state("a"))
-        assert p.valid and p.final and not p.calling
+        state = singleton_state("a")
+        assert state.valid and state.final and not state.calling
 
     def test_color_collision_is_invalid(self):
         w = nested(S2, ("a~",) * 4)
