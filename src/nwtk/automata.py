@@ -26,6 +26,7 @@ JSON array, and ``automaton_from_json`` reads an array back as a tuple.
 from __future__ import annotations
 
 import json
+from functools import cache
 from itertools import chain, product as iproduct
 
 from .core import (
@@ -434,57 +435,80 @@ def degeneralize(b: Mnwa) -> Mnwa:
     so every visit to a calling state must have been at a matched call.
 
     The states are the pairs (q, flags) reachable from the initial states
-    (q, "0" * k), found by one worklist.  A matched-return row joins the
-    state at the call with the state before the return, so each newly found
-    state is paired with every state found so far, in both orders.
+    (q, "0" * k), found by one worklist.  A matched return reads the state
+    at its call, which a call of the return's stack entered, so its rows
+    pair each state so entered with every state found, in both orders as
+    either turns up.  The rows are written once all states are known.
     """
     classify = b.alphabet.classify
     calling = b.calling
-    steps: dict = {}  # q -> (a, q2, the stack whose flag is raised, or None)
+    steps: dict = {}  # q -> (a, q2, the stack whose flag is raised, the stack of a call)
     for q, a, q2 in b.delta1:
         cls = classify(a)
-        if q2 not in calling or cls.kind == CALL:
-            steps.setdefault(q, []).append((a, q2, cls.stack - 1 if q2 in calling else None))
-    by_call: dict = {}  # p -> (q, a, q2) for the matched-return rows (p, q, a, q2)
-    by_last: dict = {}  # q -> (p, a, q2)
-    for p, q, a, q2 in b.delta2:
-        if q2 not in calling:
-            by_call.setdefault(p, []).append((q, a, q2))
-            by_last.setdefault(q, []).append((p, a, q2))
+        stack = cls.stack - 1 if cls.kind == CALL else None
+        if q2 not in calling or stack is not None:
+            steps.setdefault(q, []).append((a, q2, stack if q2 in calling else None, stack))
+    matched = [(p, q, a, q2, classify(a).stack - 1) for p, q, a, q2 in b.delta2 if q2 not in calling]
+    by_call: dict = {}  # (stack, p) -> (q, q2) for the matched-return rows (p, q, a, q2)
+    by_last: dict = {}  # q -> (stack, p, q2)
+    for p, q, _, q2, stack in matched:
+        by_call.setdefault((stack, p), []).append((q, q2))
+        by_last.setdefault(q, []).append((stack, p, q2))
+    # the flag updates repeat for many rows, so each is computed once per call
+    after_step = cache(_flags_after_step)
+    after_return = cache(_flags_after_return)
     zero = "0" * b.alphabet.k
-    seen = {(q, zero) for q in b.initial}
-    todo = list(seen)
-    done: dict = {}  # q -> flags of the states (q, flags) taken from todo
-    delta1 = set()
-    delta2 = set()
+    # the item (None, q, flags) is the state (q, flags) found, and the item
+    # (stack, q, flags) the same state entered by a call of that stack
+    found = {(None, q, zero) for q in b.initial}
+    todo = list(found)
+    done: dict = {}  # (stack, q) -> flags of the items taken from todo
     while todo:
-        state = todo.pop()
-        q, flags = state
-        done.setdefault(q, []).append(flags)
-        rows1 = {
-            (state, a, (q2, _flags_after_step(flags, raised)))
-            for a, q2, raised in steps.get(q, ())
-        }
-        rows2 = {
-            (state, (last, f), a, (q2, _flags_after_return(flags, f)))
-            for last, a, q2 in by_call.get(q, ())
-            for f in done.get(last, ())
-        }
-        rows2.update(
-            ((p, f), state, a, (q2, _flags_after_return(f, flags)))
-            for p, a, q2 in by_last.get(q, ())
-            for f in done.get(p, ())
-        )
-        delta1 |= rows1
-        delta2 |= rows2
-        new = {row[-1] for row in chain(rows1, rows2)} - seen
-        seen |= new
-        todo.extend(new)
+        stack, q, flags = todo.pop()
+        done.setdefault((stack, q), []).append(flags)
+        if stack is None:
+            reached = []
+            for _, q2, raised, call in steps.get(q, ()):
+                f = after_step(flags, raised)
+                reached.append((None, q2, f))
+                if call is not None:
+                    reached.append((call, q2, f))
+            reached += [
+                (None, q2, after_return(f, flags))
+                for s, p, q2 in by_last.get(q, ())
+                for f in done.get((s, p), ())
+            ]
+        else:
+            reached = [
+                (None, q2, after_return(flags, f))
+                for last, q2 in by_call.get((stack, q), ())
+                for f in done.get((None, last), ())
+            ]
+        for item in reached:
+            if item not in found:
+                found.add(item)
+                todo.append(item)
+    # one tuple per state, shared by all its rows, which makes building,
+    # comparing and sorting the rows cheaper than fresh equal tuples
+    state = {q: {f: (q, f) for f in flags} for (stack, q), flags in done.items() if stack is None}
+    none: dict = {}
+    delta1 = [
+        (s, a, state[q2][after_step(f, raised)])
+        for q, moves in steps.items()
+        for f, s in state.get(q, none).items()
+        for a, q2, raised, _ in moves
+    ]
+    delta2 = [
+        (state[p][cf], sq, a, state[q2][after_return(cf, f)])
+        for p, q, a, q2, stack in matched
+        for cf in done.get((stack, p), ())
+        for f, sq in state.get(q, none).items()
+    ]
     return Mnwa(
         b.alphabet,
-        seen,
-        [(q, zero) for q in b.initial],
-        [(q, zero) for q in b.final if (q, zero) in seen],
+        [s for by_flags in state.values() for s in by_flags.values()],
+        [state[q][zero] for q in b.initial],
+        [state[q][zero] for q in b.final if zero in state.get(q, none)],
         delta1,
         delta2,
     )

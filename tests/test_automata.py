@@ -22,7 +22,7 @@ from nwtk.automata import (
     mvpa_to_mnwa,
     product,
 )
-from nwtk.core import iter_token_tuples, nested
+from nwtk.core import CALL, iter_token_tuples, nested
 from nwtk.errors import (
     AlphabetMismatch,
     CallingStatesPresent,
@@ -324,6 +324,9 @@ class TestDegeneralize:
                     break
                 reached |= more
             assert reached == d.states
+            # a matched return reads the state at its call, which a call of its stack entered
+            entered = {(S2.classify(a).stack, q2) for _, a, q2 in d.delta1 if S2.classify(a).kind == CALL}
+            assert {(S2.classify(a).stack, p) for p, _, a, _ in d.delta2} <= entered
             for tokens in iter_token_tuples(S2, 4):
                 w = nested(S2, tokens)
                 assert accepts_by_run_search(b, w) == mnwa_accepts(d, w), (
