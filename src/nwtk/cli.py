@@ -40,6 +40,10 @@ def _guarded(f):
         except (OSError, json.JSONDecodeError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
+        except RecursionError:
+            # formulas and JSON files are read and evaluated recursively
+            click.echo("error: input is nested too deeply", err=True)
+            sys.exit(2)
 
     return wrapper
 

@@ -209,15 +209,20 @@ class NestedWord:
         return range(1, len(self.labels) + 1)
 
     def has(self, name: str, args) -> bool:
-        if name == "succ":
-            i, j = args
-            return j == i + 1
-        if name == "match":
-            i, j = args
-            return self._mu.get(i) == j
-        if name.startswith("label:"):
-            (i,) = args
-            return self.labels[i - 1] == name[6:]
+        try:
+            if name == "succ":
+                i, j = args
+                return j == i + 1
+            if name == "match":
+                i, j = args
+                return self._mu.get(i) == j
+            if name.startswith("label:"):
+                (i,) = args
+                return self.labels[i - 1] == name[6:]
+        except ValueError:
+            raise UnknownSymbol(
+                f"nested words have no relation {name!r} on {len(args)} argument(s)"
+            ) from None
         raise UnknownSymbol(f"nested words have no relation {name!r}")
 
     def __eq__(self, other):

@@ -6,7 +6,8 @@ with even j by a call labeled b; the cell's second representative is the
 matching return.  Columns alternate direction: odd columns read top to
 bottom, even columns bottom to top.  ``verify_reduction`` replays every
 defining equivalence of the reduction mechanically, quantifying over all
-cell tuples and evaluating both sides with the formula evaluator.
+cell tuples and evaluating both sides with the formula evaluator; each
+formula is compiled and bound once, outside the loop over its tuples.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .logic import (
     Or,
     Rel,
     Succ,
-    eval as eval_formula,
+    _bind,
 )
 
 __all__ = [
@@ -262,9 +263,10 @@ def verify_reduction(n: int, m: int, formulas=None) -> ReductionReport:
     checked += 1
 
     pairing = {(chi_bar[(1, u)], chi_bar[(2, u)]) for u in cells}
+    psi = _bind(word, fs["psi"], ("x1", "x2"))
     for p in word.positions():
         for q in word.positions():
-            lhs = eval_formula(word, fs["psi"], {"x1": p, "x2": q})
+            lhs = psi({"x1": p, "x2": q})
             if lhs != ((p, q) in pairing):
                 return report(
                     {"condition": "pairing", "tuple": (p, q), "word": lhs}
@@ -272,9 +274,11 @@ def verify_reduction(n: int, m: int, formulas=None) -> ReductionReport:
             checked += 1
 
     for (c, k), phi in fs["label"].items():
+        grid_side = _bind(grid, phi, ("u1",))
+        word_side = _bind(word, Label("x1", c), ("x1",))
         for u in cells:
-            lhs = eval_formula(grid, phi, {"u1": u})
-            rhs = eval_formula(word, Label("x1", c), {"x1": chi_bar[(k, u)]})
+            lhs = grid_side({"u1": u})
+            rhs = word_side({"x1": chi_bar[(k, u)]})
             if lhs != rhs:
                 return report(
                     {
@@ -290,16 +294,14 @@ def verify_reduction(n: int, m: int, formulas=None) -> ReductionReport:
 
     for rel, table in (("succ", fs["succ"]), ("match", fs["match"])):
         word_atom = Succ("x1", "x2") if rel == "succ" else Match("x1", "x2")
+        word_side = _bind(word, word_atom, ("x1", "x2"))
         for kappa, phi in table.items():
             k1, k2 = kappa
+            grid_side = _bind(grid, phi, ("u1", "u2"))
             for u1 in cells:
                 for u2 in cells:
-                    lhs = eval_formula(grid, phi, {"u1": u1, "u2": u2})
-                    rhs = eval_formula(
-                        word,
-                        word_atom,
-                        {"x1": chi_bar[(k1, u1)], "x2": chi_bar[(k2, u2)]},
-                    )
+                    lhs = grid_side({"u1": u1, "u2": u2})
+                    rhs = word_side({"x1": chi_bar[(k1, u1)], "x2": chi_bar[(k2, u2)]})
                     if lhs != rhs:
                         return report(
                             {
@@ -314,9 +316,11 @@ def verify_reduction(n: int, m: int, formulas=None) -> ReductionReport:
                     checked += 1
 
     for c in ("a", "b"):
+        grid_side = _bind(grid, Rel(f"P_{c}", ("u1",)), ("u1",))
+        word_side = _bind(word, fs["P"][c], ("x1",))
         for u in cells:
-            lhs = eval_formula(grid, Rel(f"P_{c}", ("u1",)), {"u1": u})
-            rhs = eval_formula(word, fs["P"][c], {"x1": chi[u]})
+            lhs = grid_side({"u1": u})
+            rhs = word_side({"x1": chi[u]})
             if lhs != rhs:
                 return report(
                     {
@@ -329,12 +333,12 @@ def verify_reduction(n: int, m: int, formulas=None) -> ReductionReport:
                 )
             checked += 1
     for rel in ("succ1", "succ2"):
+        grid_side = _bind(grid, Rel(rel, ("u1", "u2")), ("u1", "u2"))
+        word_side = _bind(word, fs[rel], ("x1", "x2"))
         for u1 in cells:
             for u2 in cells:
-                lhs = eval_formula(grid, Rel(rel, ("u1", "u2")), {"u1": u1, "u2": u2})
-                rhs = eval_formula(
-                    word, fs[rel], {"x1": chi[u1], "x2": chi[u2]}
-                )
+                lhs = grid_side({"u1": u1, "u2": u2})
+                rhs = word_side({"x1": chi[u1], "x2": chi[u2]})
                 if lhs != rhs:
                     return report(
                         {

@@ -1,10 +1,14 @@
 """Monadic second-order formulas over matched structures, and acceptors
 for counting constraints on sphere realizations.
 
-Formulas are evaluated directly on any structure exposing ``universe()``
-and ``has(name, args)``; nested words and grids both do.  Set
-quantification enumerates all subsets, so it is capped by a configurable
-universe size and refuses larger inputs loudly.
+Formulas are evaluated on any structure exposing ``universe()`` and
+``has(name, args)``; nested words and grids both do.  One walk compiles a
+formula into nested closures and collects its free variables; the result is
+bound once to a structure (its ``has``, its universe list and the set
+quantification cap) and then applied to any number of environments.
+``eval`` compiles, binds and applies.  Set quantification enumerates all
+subsets, so it is capped by a configurable universe size and refuses larger
+inputs loudly, when evaluation reaches it.
 
 Counting constraints are positive Boolean combinations of threshold
 atoms over spheres.  Their compiled form is a decision procedure: it
@@ -129,85 +133,152 @@ def Forall(var: str, body):
 
 
 def free_vars(formula) -> frozenset:
-    def walk(f, bound, out):
-        if isinstance(f, Rel):
-            out.update(a for a in f.args if a not in bound)
-        elif isinstance(f, Eq):
-            out.update(v for v in (f.x, f.y) if v not in bound)
-        elif isinstance(f, In):
-            out.update(v for v in (f.x, f.X) if v not in bound)
-        elif isinstance(f, Not):
-            walk(f.body, bound, out)
-        elif isinstance(f, Or):
-            walk(f.left, bound, out)
-            walk(f.right, bound, out)
-        else:
-            walk(f.body, bound | {f.var}, out)
+    return _compile(formula)[0]
 
-    out: set = set()
-    walk(formula, frozenset(), out)
-    return frozenset(out)
+
+_UNSET = object()
+
+
+def _compile(f):
+    """Walk ``f`` once.  Returns its free variables and a function that
+    binds it to a structure's ``has``, its universe list and the set
+    quantification cap, giving a closure from an environment dict to the
+    truth value.
+
+    A bound closure evaluates lazily, left to right: an unknown relation or
+    an oversized set quantifier raises only when evaluation reaches it.
+    Quantifiers rebind their variable in the dict and restore it before
+    they return; on an exception they leave it changed.
+    """
+    if isinstance(f, Rel):
+        name, args = f.name, f.args
+        if len(args) == 1:
+            (a,) = args
+
+            def bind(has, universe, so_limit):
+                return lambda env: has(name, (env[a],))
+        elif len(args) == 2:
+            a, b = args
+
+            def bind(has, universe, so_limit):
+                return lambda env: has(name, (env[a], env[b]))
+        else:
+            def bind(has, universe, so_limit):
+                return lambda env: has(name, tuple([env[a] for a in args]))
+        return frozenset(args), bind
+    if isinstance(f, Eq):
+        x, y = f.x, f.y
+        return frozenset((x, y)), lambda *_: lambda env: env[x] == env[y]
+    if isinstance(f, In):
+        x, X = f.x, f.X
+        return frozenset((x, X)), lambda *_: lambda env: env[x] in env[X]
+    if isinstance(f, Not):
+        g = f.body
+        if isinstance(g, Or) and isinstance(g.left, Not) and isinstance(g.right, Not):
+            # And(left, right), as one closure instead of four
+            free_l, left = _compile(g.left.body)
+            free_r, right = _compile(g.right.body)
+
+            def bind(*structure):
+                run_l, run_r = left(*structure), right(*structure)
+                return lambda env: run_l(env) and run_r(env)
+            return free_l | free_r, bind
+        if isinstance(g, ExistsFO) and isinstance(g.body, Not):
+            # Forall(var, body), stopping at the first counterexample
+            return _quantifier(g.var, g.body.body, universal=True)
+        free, body = _compile(g)
+
+        def bind(*structure):
+            run = body(*structure)
+            return lambda env: not run(env)
+        return free, bind
+    if isinstance(f, Or):
+        free_l, left = _compile(f.left)
+        free_r, right = _compile(f.right)
+
+        def bind(*structure):
+            run_l, run_r = left(*structure), right(*structure)
+            return lambda env: run_l(env) or run_r(env)
+        return free_l | free_r, bind
+    if isinstance(f, ExistsFO):
+        return _quantifier(f.var, f.body)
+    if isinstance(f, ExistsSO):
+        return _quantifier(f.var, f.body, second_order=True)
+    raise FormulaParseError(f"not a formula node: {f!r}")
+
+
+def _quantifier(var, body, second_order=False, universal=False):
+    """Compile a quantifier over ``var``: existential, or universal with
+    ``body`` the formula that must hold for every value."""
+    free, body = _compile(body)
+
+    def bind(has, universe, so_limit):
+        run = body(has, universe, so_limit)
+        values = _subsets(universe, so_limit) if second_order else universe.__iter__
+        if universal:
+            def forall(env):
+                saved = env.get(var, _UNSET)
+                holds = True
+                for value in values():
+                    env[var] = value
+                    if not run(env):
+                        holds = False
+                        break
+                _restore(env, var, saved)
+                return holds
+            return forall
+
+        def exists(env):
+            saved = env.get(var, _UNSET)
+            found = False
+            for value in values():
+                env[var] = value
+                if run(env):
+                    found = True
+                    break
+            _restore(env, var, saved)
+            return found
+        return exists
+    return free - {var}, bind
+
+
+def _restore(env, var, saved):
+    if saved is _UNSET:
+        env.pop(var, None)
+    else:
+        env[var] = saved
+
+
+def _subsets(universe, so_limit):
+    """The values of a set variable, enumerated when the quantifier is
+    reached; the cap is checked there too."""
+    n = len(universe)
+
+    def values():
+        if n > so_limit:
+            raise WordTooLargeForSO(
+                f"set quantification over {n} elements exceeds the cap {so_limit}"
+            )
+        for mask in range(1 << n):
+            yield frozenset(universe[b] for b in range(n) if mask >> b & 1)
+    return values
+
+
+def _bind(structure, formula, names, so_limit: int = DEFAULT_SO_LIMIT):
+    """Compile ``formula`` and bind it to ``structure``.  The closure takes
+    an environment dict with the variables ``names``, which must cover
+    the formula's free variables."""
+    free, bind = _compile(formula)
+    missing = free.difference(names)
+    if missing:
+        raise UnboundVariable(f"unbound variable(s): {', '.join(sorted(missing))}")
+    return bind(structure.has, list(structure.universe()), so_limit)
 
 
 def eval(structure, formula, env=None, so_limit: int = DEFAULT_SO_LIMIT) -> bool:
     """Standard satisfaction; ``env`` must cover the free variables."""
     env = dict(env) if env else {}
-    missing = free_vars(formula) - set(env)
-    if missing:
-        raise UnboundVariable(f"unbound variable(s): {', '.join(sorted(missing))}")
-    universe = list(structure.universe())
-
-    def ev(f) -> bool:
-        if isinstance(f, Rel):
-            return structure.has(f.name, tuple(env[a] for a in f.args))
-        if isinstance(f, Not):
-            return not ev(f.body)
-        if isinstance(f, Or):
-            return ev(f.left) or ev(f.right)
-        if isinstance(f, Eq):
-            return env[f.x] == env[f.y]
-        if isinstance(f, In):
-            return env[f.x] in env[f.X]
-        if isinstance(f, ExistsFO):
-            var, body = f.var, f.body
-            saved = env.get(var)
-            had = var in env
-            try:
-                for u in universe:
-                    env[var] = u
-                    if ev(body):
-                        return True
-                return False
-            finally:
-                if had:
-                    env[var] = saved
-                else:
-                    env.pop(var, None)
-        if isinstance(f, ExistsSO):
-            n = len(universe)
-            if n > so_limit:
-                raise WordTooLargeForSO(
-                    f"set quantification over {n} elements exceeds the cap {so_limit}"
-                )
-            var, body = f.var, f.body
-            saved = env.get(var)
-            had = var in env
-            try:
-                for mask in range(1 << n):
-                    env[var] = frozenset(
-                        universe[b] for b in range(n) if mask >> b & 1
-                    )
-                    if ev(body):
-                        return True
-                return False
-            finally:
-                if had:
-                    env[var] = saved
-                else:
-                    env.pop(var, None)
-        raise FormulaParseError(f"not a formula node: {f!r}")
-
-    return ev(formula)
+    return _bind(structure, formula, env, so_limit)(env)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +307,11 @@ def _read_sexpr(tokens: list[str], pos: int):
         out.append(node)
 
 
-def _build(node):
+def _build(node, scope):
+    """The formula of a parsed s-expression.  ``scope`` maps each variable
+    bound around ``node`` to True for a set variable, False for a position;
+    a bound variable used at the other sort is rejected here, since
+    evaluation would hand a set to a relation or look inside a position."""
     if isinstance(node, str):
         raise FormulaParseError(f"bare token {node!r} is not a formula")
     if not node or not isinstance(node[0], str):
@@ -253,44 +328,50 @@ def _build(node):
                 raise FormulaParseError(f"{head} expects variable/symbol names")
         return rest
 
+    def sort(var, is_set):
+        if scope.get(var, is_set) != is_set:
+            used, bound = ("a set", "a position") if is_set else ("a position", "a set")
+            raise FormulaParseError(f"{head} uses {var!r} as {used}, but it is bound as {bound}")
+
     if head == "not":
         arity(1)
-        return Not(_build(rest[0]))
+        return Not(_build(rest[0], scope))
     if head in ("or", "and"):
         if len(rest) < 2:
             raise FormulaParseError(f"{head} takes at least 2 arguments")
         combine = Or if head == "or" else And
-        out = _build(rest[0])
+        out = _build(rest[0], scope)
         for sub in rest[1:]:
-            out = combine(out, _build(sub))
+            out = combine(out, _build(sub, scope))
         return out
     if head == "implies":
         arity(2)
-        return Implies(_build(rest[0]), _build(rest[1]))
+        return Implies(_build(rest[0], scope), _build(rest[1], scope))
     if head in ("exists", "forall", "exists-set"):
         arity(2)
         var = rest[0]
         if not isinstance(var, str):
             raise FormulaParseError(f"{head} binds a single variable name")
-        body = _build(rest[1])
+        body = _build(rest[1], {**scope, var: head == "exists-set"})
         if head == "exists":
             return ExistsFO(var, body)
         if head == "forall":
             return Forall(var, body)
         return ExistsSO(var, body)
-    if head == "eq":
+    if head in ("eq", "in", "label"):
         arity(2)
-        names(rest)
-        return Eq(rest[0], rest[1])
+    names(rest)
     if head == "in":
-        arity(2)
-        names(rest)
+        sort(rest[0], False)
+        sort(rest[1], True)
         return In(rest[0], rest[1])
     if head == "label":
-        arity(2)
-        names(rest)
+        sort(rest[0], False)
         return Label(rest[0], rest[1])
-    names(rest)
+    for var in rest:
+        sort(var, False)
+    if head == "eq":
+        return Eq(rest[0], rest[1])
     return Rel(head, tuple(rest))
 
 
@@ -301,7 +382,7 @@ def parse_formula(text: str):
     node, pos = _read_sexpr(tokens, 0)
     if pos != len(tokens):
         raise FormulaParseError("trailing input after the formula")
-    return _build(node)
+    return _build(node, {})
 
 
 # ---------------------------------------------------------------------------

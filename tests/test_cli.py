@@ -4,6 +4,7 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from nwtk.automata import Mnwa, automaton_to_json, load_automaton
 from nwtk.cli import main
@@ -149,6 +150,14 @@ class TestSimulate:
         }
         machine = write_json(tmp_path, "m.json", data)
         result = runner.invoke(main, ["simulate", machine, files("w.txt", "a")])
+        assert_input_error(result)
+
+    def test_deeply_nested_state_name(self, files, tmp_path):
+        name = "[" * 995 + '"q"' + "]" * 995
+        text = json.dumps(automaton_to_json(loop_mnwa())).replace('"states": [', f'"states": [{name}, ', 1)
+        machine = tmp_path / "m.json"
+        machine.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, ["simulate", str(machine), files("w.txt", "a a~")])
         assert_input_error(result)
 
 
@@ -362,6 +371,79 @@ class TestEval:
         )
         assert result.exit_code == 1
         assert result.output == "FALSE\n"
+
+    @pytest.mark.parametrize(
+        "formula",
+        ["(exists x (match x))", "(exists x (label:a x x))", "(exists-set X (label X a))",
+         "(exists x (exists y (in x y)))", "(forall x (label y a))", "(exists x (foo x))"],
+        ids=["match-arity", "label-arity", "set-as-position", "position-as-set", "unbound",
+             "unknown-relation"],
+    )
+    def test_ill_formed_formula(self, formula, files):
+        result = runner.invoke(main, ["eval", files("w.txt", "a a~"), files("f.txt", formula)])
+        assert_input_error(result)
+
+    def test_deeply_nested_formula(self, files):
+        deep = "(not " * 3000 + "(eq x x)" + ")" * 3000
+        result = runner.invoke(main, ["eval", files("w.txt", "a a~"), files("f.txt", deep)])
+        assert_input_error(result)
+
+
+FORMULA_SEEDS = (
+    TestEval.FORMULA,
+    "(exists-set X (forall x (in x X)))",
+    "(exists x (exists-set X (or (in x X) (label x b~))))",
+    "(exists x (and (label x a) (not (succ x x))))",
+)
+FORMULA_TOKENS = ("(", ")", "not", "or", "and", "implies", "exists", "forall",
+                  "exists-set", "eq", "in", "label", "match", "succ", "x", "y", "X",
+                  "a", "b~", "0")
+WORD_SEEDS = ("a a~", "a b a~ b~\nb", "a~ b~ a")
+WORD_TOKENS = ("a", "a~", "b", "b~", "z", "\n")
+
+
+@st.composite
+def mutated(draw, seeds, pool):
+    """A seed's tokens after a few random insertions, deletions and replacements."""
+    tokens = draw(st.sampled_from(seeds)).replace("(", " ( ").replace(")", " ) ").split(" ")
+    tokens = [t for t in tokens if t]  # keeps the newlines of word seeds as tokens
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(("insert", "delete", "replace")))
+        if edit == "insert" or i == len(tokens):
+            tokens.insert(i, draw(st.sampled_from(pool)))
+        elif edit == "delete":
+            del tokens[i]
+        else:
+            tokens[i] = draw(st.sampled_from(pool))
+    return tokens
+
+
+def balanced(tokens) -> bool:
+    depth = 0
+    for t in tokens:
+        depth += (t == "(") - (t == ")")
+        if depth < 0:
+            return False
+    return depth == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(formula=mutated(FORMULA_SEEDS, FORMULA_TOKENS), word=mutated(WORD_SEEDS, WORD_TOKENS))
+def test_eval_fuzz_keeps_the_exit_code_contract(formula, word, tmp_path_factory):
+    root = tmp_path_factory.getbasetemp()
+    (root / "fuzz.f").write_text(" ".join(formula), encoding="utf-8")
+    (root / "fuzz.txt").write_text(" ".join(word), encoding="utf-8")
+    result = runner.invoke(main, ["eval", str(root / "fuzz.txt"), str(root / "fuzz.f")])
+    assert "Traceback" not in result.stderr, result.stderr
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code in (0, 1, 2)
+    if not balanced(formula) or "z" in word:
+        assert_input_error(result)
+    elif result.exit_code != 2:
+        verdicts = result.output.split()
+        assert set(verdicts) <= {"TRUE", "FALSE"}
+        assert ("FALSE" in verdicts) == (result.exit_code == 1)
 
 
 class TestCompileCount:

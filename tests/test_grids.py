@@ -10,13 +10,14 @@ from nwtk.errors import AlphabetMismatch, BoundsExceeded, UnknownSymbol
 from nwtk.grids import (
     GRID_ALPHABET,
     Grid,
+    ReductionReport,
     encode,
     image_membership,
     image_property_formulas,
     reduction_formulas,
     verify_reduction,
 )
-from nwtk.logic import And, ExistsFO, Succ
+from nwtk.logic import And, Eq, ExistsFO, Label, Not, Rel, Succ
 
 from fixtures import GRID34
 
@@ -102,6 +103,43 @@ class TestVerifyReduction:
         assert report.failure["relation"] == "succ2"
         assert report.failure["tuple"] == ((1, 1), (1, 2))
         assert report.failure["grid"] and not report.failure["word"]
+
+    # wrong tables, each with its first failing tuple in check order and
+    # the number of checks that passed before it
+    WRONG_TABLES = {
+        "succ": (
+            lambda fs: fs["succ"].__setitem__((2, 1), Not(Eq("u1", "u1"))),
+            {(2, 2): 131, (3, 4): 964},
+            {"condition": "word-relation", "relation": "succ", "kappa": (2, 1),
+             "tuple": ((1, 1), (1, 2)), "grid": False, "word": True},
+        ),
+        "psi": (
+            lambda fs: fs.__setitem__("psi", Succ("x1", "x2")),
+            {(2, 2): 2, (3, 4): 2},
+            {"condition": "pairing", "tuple": (1, 2), "word": True},
+        ),
+        "label": (
+            lambda fs: fs["label"].__setitem__(("b~", 2), Rel("P_a", ("u1",))),
+            {(2, 2): 93, (3, 4): 661},
+            {"condition": "word-relation", "relation": "label:b~", "kappa": (2,),
+             "tuple": ((1, 1),), "grid": True, "word": False},
+        ),
+        "P": (
+            lambda fs: fs["P"].__setitem__("b", Label("x1", "b~")),
+            {(2, 2): 231, (3, 4): 1840},
+            {"condition": "grid-relation", "relation": "P_b", "tuple": ((1, 2),),
+             "grid": True, "word": False},
+        ),
+    }
+
+    @pytest.mark.parametrize("table", sorted(WRONG_TABLES))
+    @pytest.mark.parametrize("n, m", [(2, 2), (3, 4)])
+    def test_failure_report_is_pinned(self, table, n, m):
+        edit, checked, failure = self.WRONG_TABLES[table]
+        fs = reduction_formulas()
+        edit(fs)
+        report = verify_reduction(n, m, fs)
+        assert report == ReductionReport(n, m, False, checked[(n, m)], failure)
 
     def test_cap(self):
         with pytest.raises(BoundsExceeded):

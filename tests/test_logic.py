@@ -8,11 +8,13 @@ import pytest
 from nwtk import logic
 from nwtk.automata import Mnwa, mnwa_accepts
 from nwtk.core import iter_token_tuples, nested
+from nwtk.grids import Grid, reduction_formulas
 from nwtk.errors import (
     FormulaParseError,
     MixedRadius,
     NotAnExpandedAlphabet,
     UnboundVariable,
+    UnknownSymbol,
     WordTooLargeForSO,
 )
 from nwtk.logic import (
@@ -94,6 +96,43 @@ class TestEval:
         assert free_vars(Match("x", "y")) == {"x", "y"}
         assert free_vars(ExistsFO("x", In("x", "X"))) == {"X"}
 
+    def test_non_formula_node(self):
+        w = nested(S2, ("a",))
+        for f in (42, Not("x"), Or(Eq("x", "x"), None), ExistsFO("x", 1.5)):
+            with pytest.raises(FormulaParseError):
+                logic.eval(w, f, env={"x": 1})
+        with pytest.raises(FormulaParseError):
+            free_vars(42)
+
+    def test_evaluation_is_lazy_left_to_right(self):
+        w = nested(S2, ("a",) * 4)
+        # the unknown relation and the oversized set quantifier are never reached
+        assert logic.eval(w, Or(Eq("x", "x"), Rel("foo", ("x",))), env={"x": 1})
+        with pytest.raises(UnknownSymbol):
+            logic.eval(w, Or(Not(Eq("x", "x")), Rel("foo", ("x",))), env={"x": 1})
+        cheap_then_set = Or(ExistsFO("x", Label("x", "a")), ExistsSO("X", Eq("y", "y")))
+        assert logic.eval(w, cheap_then_set, env={"y": 1}, so_limit=3)
+        reached = And(ExistsFO("x", Label("x", "a")), ExistsSO("X", Eq("y", "y")))
+        with pytest.raises(WordTooLargeForSO):
+            logic.eval(w, reached, env={"y": 1}, so_limit=3)
+        assert not logic.eval(w, And(Label("y", "b"), ExistsSO("X", Eq("y", "y"))),
+                              env={"y": 1}, so_limit=3)
+
+    def test_caller_env_is_unchanged(self):
+        w = nested(S2, ("a", "b"))
+        env = {"x": 2, "y": 1}
+        # rebinds x to a position, then to sets, and fails; x is 2 again after it
+        never = ExistsFO(
+            "x", And(Label("x", "a"), ExistsSO("x", And(In("y", "x"), Not(In("y", "x")))))
+        )
+        assert not logic.eval(w, Or(never, Label("x", "a")), env=env)
+        assert env == {"x": 2, "y": 1}
+        for raising in (ExistsFO("x", Rel("foo", ("x",))),
+                        ExistsFO("z", ExistsSO("x", Eq("z", "z")))):
+            with pytest.raises((UnknownSymbol, WordTooLargeForSO)):
+                logic.eval(w, raising, env=env, so_limit=1)
+            assert env == {"x": 2, "y": 1}
+
     def test_eq_and_succ(self):
         w = nested(S2, ("a", "a~"))
         assert logic.eval(w, ExistsFO("x", ExistsFO("y", Succ("x", "y"))))
@@ -137,6 +176,10 @@ class TestParser:
             "(exists (x) (label x a))",
             "(label x a) trailing",
             "(or (label x a)",
+            "(exists-set X (label X a))",
+            "(exists-set X (succ X X))",
+            "(exists x (exists y (in x y)))",
+            "(exists-set X (exists X (in X X)))",
         ):
             with pytest.raises(FormulaParseError):
                 parse_formula(text)
@@ -162,6 +205,79 @@ def test_eval_matches_independent_evaluator():
             assert logic.eval(w, f) == eval2(w, f), (f, w.labels)
             checked += 1
     assert checked == 720
+
+
+def test_eval_matches_independent_evaluator_under_set_quantifiers():
+    rng = random.Random(20261018)
+    words = [
+        nested(S2, [rng.choice(S2.symbols) for _ in range(rng.randint(1, 6))])
+        for _ in range(8)
+    ]
+    formulas = []
+    while len(formulas) < 40:
+        f = random_formula(rng, S2.symbols)
+        if "ExistsSO(" in repr(f):
+            formulas.append(f)
+    values = set()
+    for f in formulas:
+        for w in words:
+            value = logic.eval(w, f)
+            assert value == eval2(w, f), (f, w.labels)
+            values.add(value)
+    assert values == {True, False}
+
+
+def random_grid_formula(rng, depth):
+    """A random formula over the grid relations, free in u1 and u2; set
+    quantifiers do not nest."""
+
+    def gen(depth, fo, so):
+        if depth == 0 or rng.random() < 0.25:
+            v, w = rng.choice(fo), rng.choice(fo)
+            kind = rng.choice(("P_a", "P_b", "succ1", "succ2", "eq", "in"))
+            if kind in ("P_a", "P_b"):
+                return Rel(kind, (v,))
+            if kind == "eq":
+                return Eq(v, w)
+            if kind == "in" and so:
+                return In(v, rng.choice(so))
+            return Rel(rng.choice(("succ1", "succ2")), (v, w))
+        choice = rng.random()
+        if choice < 0.3:
+            var = f"z{depth}"
+            quantifier = ExistsFO if rng.random() < 0.5 else Forall
+            return quantifier(var, gen(depth - 1, fo + (var,), so))
+        if choice < 0.4 and not so:
+            var = f"Z{depth}"
+            return ExistsSO(var, gen(depth - 1, fo, so + (var,)))
+        if choice < 0.55:
+            return Not(gen(depth - 1, fo, so))
+        combine = rng.choice((Or, And, Implies))
+        return combine(gen(depth - 1, fo, so), gen(depth - 1, fo, so))
+
+    return gen(depth, ("u1", "u2"), ())
+
+
+def test_eval_matches_independent_evaluator_on_grids():
+    rng = random.Random(4242)
+    fs = reduction_formulas()
+    formulas = [*fs["label"].values(), *fs["succ"].values(), *fs["match"].values()]
+    formulas += [random_grid_formula(rng, 3) for _ in range(40)]
+    checked = 0
+    values = set()
+    for n, m in ((1, 1), (2, 2), (2, 3)):
+        grid = Grid(n, m)
+        cells = grid.universe()
+        for f in formulas:
+            for u1 in cells:
+                for u2 in cells:
+                    env = {"u1": u1, "u2": u2}
+                    value = logic.eval(grid, f, env)
+                    assert value == eval2(grid, f, env), (f, (n, m), env)
+                    values.add(value)
+                    checked += 1
+    assert values == {True, False}
+    assert checked == (16 + 40) * (1 + 16 + 36)
 
 
 # ---------------------------------------------------------------------------
