@@ -34,10 +34,7 @@ def _guarded(f):
     def wrapper(*args, **kwargs):
         try:
             return f(*args, **kwargs)
-        except NwtkError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (NwtkError, OSError, json.JSONDecodeError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except RecursionError:
@@ -133,8 +130,7 @@ def degeneralize(automaton_file, out):
     """Eliminate the calling-state set of a generalized automaton."""
     machine = automata.load_automaton(automaton_file)
     if not isinstance(machine, automata.Mnwa):
-        click.echo("error: degeneralize expects an mnwa file", err=True)
-        sys.exit(2)
+        raise NwtkError("degeneralize expects an mnwa file")
     _emit_automaton(automata.degeneralize(machine), out)
 
 
@@ -149,8 +145,7 @@ def product(left_file, right_file, mode, out):
     left = automata.load_automaton(left_file)
     right = automata.load_automaton(right_file)
     if not (isinstance(left, automata.Mnwa) and isinstance(right, automata.Mnwa)):
-        click.echo("error: product expects two mnwa files", err=True)
-        sys.exit(2)
+        raise NwtkError("product expects two mnwa files")
     _emit_automaton(automata.product(left, right, mode), out)
 
 
@@ -257,8 +252,7 @@ def compile_count(expr_file, radius, word_file, corpus_dir, alphabet_path):
         path.read_text(encoding="utf-8"), base_dir=path.parent
     )
     if radius is not None and radius != r:
-        click.echo(f"error: constraint radius is {r}, not {radius}", err=True)
-        sys.exit(2)
+        raise NwtkError(f"constraint radius is {r}, not {radius}")
     compiled = logic.compile_constraint(expr, r)
     alphabet = _alphabet(alphabet_path)
     if (word_file is None) == (corpus_dir is None):

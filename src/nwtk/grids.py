@@ -5,9 +5,10 @@ A grid cell (i, j) with odd column j is represented by a call labeled a,
 with even j by a call labeled b; the cell's second representative is the
 matching return.  Columns alternate direction: odd columns read top to
 bottom, even columns bottom to top.  ``verify_reduction`` replays every
-defining equivalence of the reduction mechanically, quantifying over all
-cell tuples and evaluating both sides with the formula evaluator; each
-formula is compiled and bound once, outside the loop over its tuples.
+defining equivalence of the reduction mechanically from one table of
+checks, quantifying over all cell tuples and evaluating both sides with the
+formula evaluator; each formula is compiled once, outside the loop over its
+tuples.
 """
 
 from __future__ import annotations
@@ -64,16 +65,23 @@ class Grid:
         return [(i, j) for j in range(1, self.m + 1) for i in range(1, self.n + 1)]
 
     def has(self, name: str, args) -> bool:
-        if name == "P_a":
-            return args[0][1] % 2 == 1
-        if name == "P_b":
-            return args[0][1] % 2 == 0
-        if name == "succ1":
-            (i, j), (i2, j2) = args
-            return i2 == i + 1 and j2 == j
-        if name == "succ2":
-            (i, j), (i2, j2) = args
-            return i2 == i and j2 == j + 1
+        try:
+            if name == "P_a":
+                ((_, j),) = args
+                return j % 2 == 1
+            if name == "P_b":
+                ((_, j),) = args
+                return j % 2 == 0
+            if name == "succ1":
+                (i, j), (i2, j2) = args
+                return i2 == i + 1 and j2 == j
+            if name == "succ2":
+                (i, j), (i2, j2) = args
+                return i2 == i and j2 == j + 1
+        except ValueError:
+            raise UnknownSymbol(
+                f"grids have no relation {name!r} on {len(args)} argument(s)"
+            ) from None
         raise UnknownSymbol(f"grids have no relation {name!r}")
 
     def __eq__(self, other):
@@ -273,82 +281,47 @@ def verify_reduction(n: int, m: int, formulas=None) -> ReductionReport:
                 )
             checked += 1
 
-    for (c, k), phi in fs["label"].items():
-        grid_side = _bind(grid, phi, ("u1",))
-        word_side = _bind(word, Label("x1", c), ("x1",))
-        for u in cells:
-            lhs = grid_side({"u1": u})
-            rhs = word_side({"x1": chi_bar[(k, u)]})
-            if lhs != rhs:
-                return report(
-                    {
-                        "condition": "word-relation",
-                        "relation": f"label:{c}",
-                        "kappa": (k,),
-                        "tuple": (u,),
-                        "grid": lhs,
-                        "word": rhs,
-                    }
-                )
-            checked += 1
+    # one row per equivalence: the failure's fields, the grid-side and the
+    # word-side formula, and per argument the map from a cell to a position
+    copy = {k: {u: chi_bar[(k, u)] for u in cells} for k in (1, 2)}
+    checks = [
+        ({"condition": "word-relation", "relation": f"label:{c}", "kappa": (k,)},
+         phi, Label("x1", c), (copy[k],))
+        for (c, k), phi in fs["label"].items()
+    ] + [
+        ({"condition": "word-relation", "relation": rel, "kappa": (k1, k2)},
+         phi, Rel(rel, ("x1", "x2")), (copy[k1], copy[k2]))
+        for rel in ("succ", "match")
+        for (k1, k2), phi in fs[rel].items()
+    ] + [
+        ({"condition": "grid-relation", "relation": f"P_{c}"},
+         Rel(f"P_{c}", ("u1",)), fs["P"][c], (chi,))
+        for c in ("a", "b")
+    ] + [
+        ({"condition": "grid-relation", "relation": rel},
+         Rel(rel, ("u1", "u2")), fs[rel], (chi, chi))
+        for rel in ("succ1", "succ2")
+    ]
 
-    for rel, table in (("succ", fs["succ"]), ("match", fs["match"])):
-        word_atom = Succ("x1", "x2") if rel == "succ" else Match("x1", "x2")
-        word_side = _bind(word, word_atom, ("x1", "x2"))
-        for kappa, phi in table.items():
-            k1, k2 = kappa
-            grid_side = _bind(grid, phi, ("u1", "u2"))
-            for u1 in cells:
-                for u2 in cells:
-                    lhs = grid_side({"u1": u1, "u2": u2})
-                    rhs = word_side({"x1": chi_bar[(k1, u1)], "x2": chi_bar[(k2, u2)]})
-                    if lhs != rhs:
-                        return report(
-                            {
-                                "condition": "word-relation",
-                                "relation": rel,
-                                "kappa": kappa,
-                                "tuple": (u1, u2),
-                                "grid": lhs,
-                                "word": rhs,
-                            }
-                        )
-                    checked += 1
-
-    for c in ("a", "b"):
-        grid_side = _bind(grid, Rel(f"P_{c}", ("u1",)), ("u1",))
-        word_side = _bind(word, fs["P"][c], ("x1",))
-        for u in cells:
-            lhs = grid_side({"u1": u})
-            rhs = word_side({"x1": chi[u]})
-            if lhs != rhs:
-                return report(
-                    {
-                        "condition": "grid-relation",
-                        "relation": f"P_{c}",
-                        "tuple": (u,),
-                        "grid": lhs,
-                        "word": rhs,
-                    }
-                )
-            checked += 1
-    for rel in ("succ1", "succ2"):
-        grid_side = _bind(grid, Rel(rel, ("u1", "u2")), ("u1", "u2"))
-        word_side = _bind(word, fs[rel], ("x1", "x2"))
+    for fields, grid_phi, word_phi, maps in checks:
+        grid_side = _bind(grid, grid_phi, ("u1", "u2")[: len(maps)])
+        word_side = _bind(word, word_phi, ("x1", "x2")[: len(maps)])
+        if len(maps) == 1:
+            (to_word,) = maps
+            for u in cells:
+                lhs = grid_side({"u1": u})
+                rhs = word_side({"x1": to_word[u]})
+                if lhs != rhs:
+                    return report({**fields, "tuple": (u,), "grid": lhs, "word": rhs})
+                checked += 1
+            continue
+        to_word1, to_word2 = maps
         for u1 in cells:
             for u2 in cells:
                 lhs = grid_side({"u1": u1, "u2": u2})
-                rhs = word_side({"x1": chi[u1], "x2": chi[u2]})
+                rhs = word_side({"x1": to_word1[u1], "x2": to_word2[u2]})
                 if lhs != rhs:
-                    return report(
-                        {
-                            "condition": "grid-relation",
-                            "relation": rel,
-                            "tuple": (u1, u2),
-                            "grid": lhs,
-                            "word": rhs,
-                        }
-                    )
+                    return report({**fields, "tuple": (u1, u2), "grid": lhs, "word": rhs})
                 checked += 1
     return ReductionReport(n, m, True, checked, None)
 

@@ -3,12 +3,13 @@ for counting constraints on sphere realizations.
 
 Formulas are evaluated on any structure exposing ``universe()`` and
 ``has(name, args)``; nested words and grids both do.  One walk compiles a
-formula into nested closures and collects its free variables; the result is
-bound once to a structure (its ``has``, its universe list and the set
-quantification cap) and then applied to any number of environments.
-``eval`` compiles, binds and applies.  Set quantification enumerates all
-subsets, so it is capped by a configurable universe size and refuses larger
-inputs loudly, when evaluation reaches it.
+formula against a structure (its ``has``, its universe list and the set
+quantification cap) into nested closures and collects its free variables;
+the closure is then applied to any number of environments.  ``eval``
+compiles and applies, after checking that each environment value is an
+element or a set of elements of the structure.  Set quantification
+enumerates all subsets, so it is capped by a configurable universe size and
+refuses larger inputs loudly, when evaluation reaches it.
 
 Counting constraints are positive Boolean combinations of threshold
 atoms over spheres.  Their compiled form is a decision procedure: it
@@ -20,6 +21,7 @@ space.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +31,7 @@ from .errors import (
     FormulaParseError,
     MixedRadius,
     NotAnExpandedAlphabet,
+    PositionOutOfRange,
     UnboundVariable,
     WordTooLargeForSO,
 )
@@ -133,20 +136,20 @@ def Forall(var: str, body):
 
 
 def free_vars(formula) -> frozenset:
-    return _compile(formula)[0]
+    return _compile(formula, None, None, None)[0]
 
 
 _UNSET = object()
 
 
-def _compile(f):
-    """Walk ``f`` once.  Returns its free variables and a function that
-    binds it to a structure's ``has``, its universe list and the set
-    quantification cap, giving a closure from an environment dict to the
-    truth value.
+def _compile(f, has, universe, so_limit):
+    """Walk ``f`` once against a structure's ``has``, its universe list and
+    the set quantification cap.  Returns the free variables of ``f`` and a
+    closure from an environment dict to the truth value.  No closure
+    touches the structure until it is applied.
 
-    A bound closure evaluates lazily, left to right: an unknown relation or
-    an oversized set quantifier raises only when evaluation reaches it.
+    A closure evaluates lazily, left to right: an unknown relation or an
+    oversized set quantifier raises only when evaluation reaches it.
     Quantifiers rebind their variable in the dict and restore it before
     they return; on an exception they leave it changed.
     """
@@ -154,92 +157,60 @@ def _compile(f):
         name, args = f.name, f.args
         if len(args) == 1:
             (a,) = args
-
-            def bind(has, universe, so_limit):
-                return lambda env: has(name, (env[a],))
-        elif len(args) == 2:
+            return frozenset(args), lambda env: has(name, (env[a],))
+        if len(args) == 2:
             a, b = args
-
-            def bind(has, universe, so_limit):
-                return lambda env: has(name, (env[a], env[b]))
-        else:
-            def bind(has, universe, so_limit):
-                return lambda env: has(name, tuple([env[a] for a in args]))
-        return frozenset(args), bind
+            return frozenset(args), lambda env: has(name, (env[a], env[b]))
+        return frozenset(args), lambda env: has(name, tuple([env[a] for a in args]))
     if isinstance(f, Eq):
         x, y = f.x, f.y
-        return frozenset((x, y)), lambda *_: lambda env: env[x] == env[y]
+        return frozenset((x, y)), lambda env: env[x] == env[y]
     if isinstance(f, In):
         x, X = f.x, f.X
-        return frozenset((x, X)), lambda *_: lambda env: env[x] in env[X]
+        return frozenset((x, X)), lambda env: env[x] in env[X]
+    structure = has, universe, so_limit
     if isinstance(f, Not):
         g = f.body
         if isinstance(g, Or) and isinstance(g.left, Not) and isinstance(g.right, Not):
             # And(left, right), as one closure instead of four
-            free_l, left = _compile(g.left.body)
-            free_r, right = _compile(g.right.body)
-
-            def bind(*structure):
-                run_l, run_r = left(*structure), right(*structure)
-                return lambda env: run_l(env) and run_r(env)
-            return free_l | free_r, bind
+            free_l, left = _compile(g.left.body, *structure)
+            free_r, right = _compile(g.right.body, *structure)
+            return free_l | free_r, lambda env: left(env) and right(env)
         if isinstance(g, ExistsFO) and isinstance(g.body, Not):
             # Forall(var, body), stopping at the first counterexample
-            return _quantifier(g.var, g.body.body, universal=True)
-        free, body = _compile(g)
-
-        def bind(*structure):
-            run = body(*structure)
-            return lambda env: not run(env)
-        return free, bind
+            return _quantifier(g.var, g.body.body, structure, universal=True)
+        free, body = _compile(g, *structure)
+        return free, lambda env: not body(env)
     if isinstance(f, Or):
-        free_l, left = _compile(f.left)
-        free_r, right = _compile(f.right)
-
-        def bind(*structure):
-            run_l, run_r = left(*structure), right(*structure)
-            return lambda env: run_l(env) or run_r(env)
-        return free_l | free_r, bind
+        free_l, left = _compile(f.left, *structure)
+        free_r, right = _compile(f.right, *structure)
+        return free_l | free_r, lambda env: left(env) or right(env)
     if isinstance(f, ExistsFO):
-        return _quantifier(f.var, f.body)
+        return _quantifier(f.var, f.body, structure)
     if isinstance(f, ExistsSO):
-        return _quantifier(f.var, f.body, second_order=True)
+        return _quantifier(f.var, f.body, structure, second_order=True)
     raise FormulaParseError(f"not a formula node: {f!r}")
 
 
-def _quantifier(var, body, second_order=False, universal=False):
+def _quantifier(var, body, structure, second_order=False, universal=False):
     """Compile a quantifier over ``var``: existential, or universal with
-    ``body`` the formula that must hold for every value."""
-    free, body = _compile(body)
+    ``body`` the formula that must hold for every value.  Either stops at
+    the first value that decides it."""
+    free, run = _compile(body, *structure)
+    _, universe, so_limit = structure
+    values = _subsets(universe, so_limit) if second_order else lambda: universe
 
-    def bind(has, universe, so_limit):
-        run = body(has, universe, so_limit)
-        values = _subsets(universe, so_limit) if second_order else universe.__iter__
-        if universal:
-            def forall(env):
-                saved = env.get(var, _UNSET)
-                holds = True
-                for value in values():
-                    env[var] = value
-                    if not run(env):
-                        holds = False
-                        break
-                _restore(env, var, saved)
-                return holds
-            return forall
-
-        def exists(env):
-            saved = env.get(var, _UNSET)
-            found = False
-            for value in values():
-                env[var] = value
-                if run(env):
-                    found = True
-                    break
-            _restore(env, var, saved)
-            return found
-        return exists
-    return free - {var}, bind
+    def quantify(env):
+        saved = env.get(var, _UNSET)
+        holds = universal
+        for value in values():
+            env[var] = value
+            if (not run(env)) is universal:
+                holds = not universal
+                break
+        _restore(env, var, saved)
+        return holds
+    return free - {var}, quantify
 
 
 def _restore(env, var, saved):
@@ -252,9 +223,9 @@ def _restore(env, var, saved):
 def _subsets(universe, so_limit):
     """The values of a set variable, enumerated when the quantifier is
     reached; the cap is checked there too."""
-    n = len(universe)
 
     def values():
+        n = len(universe)
         if n > so_limit:
             raise WordTooLargeForSO(
                 f"set quantification over {n} elements exceeds the cap {so_limit}"
@@ -265,27 +236,51 @@ def _subsets(universe, so_limit):
 
 
 def _bind(structure, formula, names, so_limit: int = DEFAULT_SO_LIMIT):
-    """Compile ``formula`` and bind it to ``structure``.  The closure takes
-    an environment dict with the variables ``names``, which must cover
-    the formula's free variables."""
-    free, bind = _compile(formula)
+    """Compile ``formula`` against ``structure``.  The closure takes an
+    environment dict with the variables ``names``, which must cover the
+    formula's free variables."""
+    free, run = _compile(formula, structure.has, list(structure.universe()), so_limit)
     missing = free.difference(names)
     if missing:
         raise UnboundVariable(f"unbound variable(s): {', '.join(sorted(missing))}")
-    return bind(structure.has, list(structure.universe()), so_limit)
+    return run
 
 
 def eval(structure, formula, env=None, so_limit: int = DEFAULT_SO_LIMIT) -> bool:
-    """Standard satisfaction; ``env`` must cover the free variables."""
+    """Standard satisfaction; ``env`` must cover the free variables, each
+    bound to an element of the structure or a set of elements."""
     env = dict(env) if env else {}
-    return _bind(structure, formula, env, so_limit)(env)
+    run = _bind(structure, formula, env, so_limit)
+    universe = structure.universe()
+    for var, value in env.items():
+        if value in universe:
+            continue
+        if not (isinstance(value, (set, frozenset)) and all(v in universe for v in value)):
+            raise PositionOutOfRange(
+                f"variable {var!r} is bound to {value!r}, outside the structure"
+            )
+    return run(env)
 
 
 # ---------------------------------------------------------------------------
 # concrete syntax
 
-def _tokenize(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
+def _read(text: str, what: str):
+    """The one s-expression that makes up ``text``, as nested lists of
+    tokens; ``what`` names it in the trailing-input error."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    node, pos = _read_sexpr(tokens, 0)
+    if pos != len(tokens):
+        raise FormulaParseError(f"trailing input after the {what}")
+    return node
+
+
+def _fold(head, rest, combine, build):
+    """The n-ary ``and``/``or`` form ``rest`` as a left fold of ``combine``
+    over the built operands."""
+    if len(rest) < 2:
+        raise FormulaParseError(f"{head} takes at least 2 arguments")
+    return functools.reduce(combine, map(build, rest))
 
 
 def _read_sexpr(tokens: list[str], pos: int):
@@ -337,13 +332,7 @@ def _build(node, scope):
         arity(1)
         return Not(_build(rest[0], scope))
     if head in ("or", "and"):
-        if len(rest) < 2:
-            raise FormulaParseError(f"{head} takes at least 2 arguments")
-        combine = Or if head == "or" else And
-        out = _build(rest[0], scope)
-        for sub in rest[1:]:
-            out = combine(out, _build(sub, scope))
-        return out
+        return _fold(head, rest, Or if head == "or" else And, lambda n: _build(n, scope))
     if head == "implies":
         arity(2)
         return Implies(_build(rest[0], scope), _build(rest[1], scope))
@@ -378,11 +367,7 @@ def _build(node, scope):
 def parse_formula(text: str):
     """Parse one parenthesized prefix formula, e.g.
     (forall x (implies (and (label x a) (match x y)) (label y b)))."""
-    tokens = _tokenize(text)
-    node, pos = _read_sexpr(tokens, 0)
-    if pos != len(tokens):
-        raise FormulaParseError("trailing input after the formula")
-    return _build(node, {})
+    return _build(_read(text, "formula"), {})
 
 
 # ---------------------------------------------------------------------------
@@ -486,23 +471,12 @@ def parse_constraint(text: str, base_dir=".") -> tuple:
     """Parse a constraint file: (and (count-gt sphere.json 0) ...);
     sphere paths are resolved relative to ``base_dir``.
     Returns (expr, radius)."""
-    tokens = _tokenize(text)
-    node, pos = _read_sexpr(tokens, 0)
-    if pos != len(tokens):
-        raise FormulaParseError("trailing input after the constraint")
-
     def build(n):
         if isinstance(n, str) or not n or not isinstance(n[0], str):
             raise FormulaParseError("every constraint form starts with an operator")
         head, *rest = n
         if head in ("and", "or"):
-            if len(rest) < 2:
-                raise FormulaParseError(f"{head} takes at least 2 arguments")
-            combine = CAnd if head == "and" else COr
-            out = build(rest[0])
-            for sub in rest[1:]:
-                out = combine(out, build(sub))
-            return out
+            return _fold(head, rest, CAnd if head == "and" else COr, build)
         if head in ("count-eq", "count-gt"):
             if len(rest) != 2 or not all(isinstance(x, str) for x in rest):
                 raise FormulaParseError(f"{head} takes a sphere path and a threshold")
@@ -515,7 +489,7 @@ def parse_constraint(text: str, base_dir=".") -> tuple:
             return (CountEq if head == "count-eq" else CountGt)(s, t)
         raise FormulaParseError(f"unknown constraint operator {head!r}")
 
-    expr = build(node)
+    expr = build(_read(text, "constraint"))
     radii = {atom.sphere.radius for atom in _atoms(expr)}
     if len(radii) != 1:
         raise MixedRadius(f"constraint mixes radii {sorted(radii)}")

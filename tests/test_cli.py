@@ -186,7 +186,8 @@ class TestDegeneralize:
     def test_wrong_kind(self, tmp_path):
         machine = write_json(tmp_path, "m.json", automaton_to_json(loop_mvpa()))
         result = runner.invoke(main, ["degeneralize", machine])
-        assert result.exit_code == 2
+        assert_input_error(result)
+        assert result.stderr == "error: degeneralize expects an mnwa file\n"
 
 
 class TestProduct:
@@ -202,6 +203,13 @@ class TestProduct:
         machine = write_json(tmp_path, "m.json", automaton_to_json(loop_mnwa()))
         result = runner.invoke(main, ["product", machine, machine])
         assert result.exit_code == 2
+
+    def test_wrong_kind(self, tmp_path):
+        left = write_json(tmp_path, "l.json", automaton_to_json(loop_mnwa()))
+        right = write_json(tmp_path, "r.json", automaton_to_json(loop_mvpa()))
+        result = runner.invoke(main, ["product", left, right, "--mode", "union"])
+        assert_input_error(result)
+        assert result.stderr == "error: product expects two mnwa files\n"
 
 
 def two_state_mnwa(p, q, calling=()):
@@ -435,15 +443,56 @@ def test_eval_fuzz_keeps_the_exit_code_contract(formula, word, tmp_path_factory)
     (root / "fuzz.f").write_text(" ".join(formula), encoding="utf-8")
     (root / "fuzz.txt").write_text(" ".join(word), encoding="utf-8")
     result = runner.invoke(main, ["eval", str(root / "fuzz.txt"), str(root / "fuzz.f")])
+    assert_fuzz_contract(result, not balanced(formula) or "z" in word, ("TRUE", "FALSE"))
+
+
+COUNT_SEEDS = (
+    "(count-gt a0.json 0)",
+    "(or (count-eq a0.json 1) (count-gt b0.json 0))",
+    "(and (count-gt a1.json 0) (or (count-eq b1.json 0) (count-gt a1.json 2)))",
+)
+COUNT_SPHERES = {  # file: (word, center, radius)
+    "a0.json": (("a",), 1, 0),
+    "b0.json": (("a", "b"), 2, 0),
+    "a1.json": (("a", "a~"), 1, 1),
+    "b1.json": (("b", "a", "b~"), 3, 1),
+}
+# wherever one of these lands in a constraint, it is a missing or non-JSON
+# sphere file, a bad threshold, an unknown operator or a bare operand
+COUNT_BAD_TOKENS = ("x", "-1", "missing.json", "w.txt")
+COUNT_TOKENS = ("(", ")", "and", "or", "count-eq", "count-gt", "0", "2",
+                *COUNT_SPHERES, *COUNT_BAD_TOKENS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr=mutated(COUNT_SEEDS, COUNT_TOKENS), word=mutated(WORD_SEEDS, WORD_TOKENS))
+def test_compile_count_fuzz_keeps_the_exit_code_contract(expr, word, tmp_path_factory):
+    root = tmp_path_factory.getbasetemp() / "count-fuzz"
+    root.mkdir(exist_ok=True)
+    for name, (tokens, center, radius) in COUNT_SPHERES.items():
+        write_json(root, name, sphere_to_json(sphere(nested(S2, tokens), center, radius)))
+    (root / "c.txt").write_text(" ".join(expr), encoding="utf-8")
+    (root / "w.txt").write_text(" ".join(word), encoding="utf-8")
+    result = runner.invoke(
+        main, ["compile-count", str(root / "c.txt"), "--word", str(root / "w.txt")]
+    )
+    malformed = not balanced(expr) or "z" in word or not set(COUNT_BAD_TOKENS).isdisjoint(expr)
+    assert_fuzz_contract(result, malformed, ("ACCEPT", "REJECT"))
+
+
+def assert_fuzz_contract(result, malformed, verdicts):
+    """Exit 0, 1 or 2 and no traceback; 2 and one error line on malformed
+    input, else one of ``verdicts`` (positive, negative) per word and exit 1
+    exactly when one is negative."""
     assert "Traceback" not in result.stderr, result.stderr
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code in (0, 1, 2)
-    if not balanced(formula) or "z" in word:
+    if malformed:
         assert_input_error(result)
     elif result.exit_code != 2:
-        verdicts = result.output.split()
-        assert set(verdicts) <= {"TRUE", "FALSE"}
-        assert ("FALSE" in verdicts) == (result.exit_code == 1)
+        got = result.output.split()
+        assert set(got) <= set(verdicts)
+        assert (verdicts[1] in got) == (result.exit_code == 1)
 
 
 class TestCompileCount:
@@ -474,7 +523,8 @@ class TestCompileCount:
             ["compile-count", expr_file, "--radius", "1",
              "--word", files("w.txt", "a")],
         )
-        assert result.exit_code == 2
+        assert_input_error(result)
+        assert result.stderr == "error: constraint radius is 0, not 1\n"
 
     def test_corpus_cross_check(self, expr_file, tmp_path):
         corp = tmp_path / "corp"

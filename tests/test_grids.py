@@ -17,7 +17,7 @@ from nwtk.grids import (
     reduction_formulas,
     verify_reduction,
 )
-from nwtk.logic import And, Eq, ExistsFO, Label, Not, Rel, Succ
+from nwtk.logic import And, Eq, ExistsFO, Label, Match, Not, Rel, Succ
 
 from fixtures import GRID34
 
@@ -39,6 +39,13 @@ class TestGrid:
     def test_unknown_relation(self):
         with pytest.raises(UnknownSymbol):
             Grid(1, 1).has("P_c", ((1, 1),))
+
+    @pytest.mark.parametrize("name, args", [
+        ("succ1", ("u",)), ("succ2", ("u", "u", "u")), ("P_a", ("u", "u")), ("P_b", ()),
+    ])
+    def test_wrong_arity(self, name, args):
+        with pytest.raises(UnknownSymbol):
+            logic.eval(Grid(2, 2), Rel(name, args), {"u": (1, 1)})
 
     def test_degenerate_sizes_rejected(self):
         with pytest.raises(BoundsExceeded):
@@ -129,6 +136,24 @@ class TestVerifyReduction:
             {(2, 2): 231, (3, 4): 1840},
             {"condition": "grid-relation", "relation": "P_b", "tuple": ((1, 2),),
              "grid": True, "word": False},
+        ),
+        "match": (
+            lambda fs: fs["match"].__setitem__((1, 2), Not(Eq("u1", "u1"))),
+            {(2, 2): 177, (3, 4): 1393},
+            {"condition": "word-relation", "relation": "match", "kappa": (1, 2),
+             "tuple": ((1, 1), (1, 1)), "grid": False, "word": True},
+        ),
+        "succ1": (
+            lambda fs: fs.__setitem__("succ1", Succ("x1", "x2")),
+            {(2, 2): 244, (3, 4): 1889},
+            {"condition": "grid-relation", "relation": "succ1",
+             "tuple": ((1, 2), (2, 2)), "grid": True, "word": False},
+        ),
+        "succ2": (
+            lambda fs: fs.__setitem__("succ2", Match("x1", "x2")),
+            {(2, 2): 251, (3, 4): 1996},
+            {"condition": "grid-relation", "relation": "succ2",
+             "tuple": ((1, 1), (1, 2)), "grid": True, "word": False},
         ),
     }
 

@@ -13,6 +13,7 @@ from nwtk.errors import (
     FormulaParseError,
     MixedRadius,
     NotAnExpandedAlphabet,
+    PositionOutOfRange,
     UnboundVariable,
     UnknownSymbol,
     WordTooLargeForSO,
@@ -84,6 +85,16 @@ class TestEval:
         assert logic.eval(w, Label("x", "b"), env={"x": 2})
         assert not logic.eval(w, Label("x", "b"), env={"x": 1})
 
+    def test_env_values_lie_in_the_structure(self):
+        w = nested(S2, ("a", "b"))
+        for env in ({"x": 0}, {"x": 3}, {"x": 2, "X": frozenset({1, 3})}, {"x": 1, "y": "a"}):
+            with pytest.raises(PositionOutOfRange):
+                logic.eval(w, Label("x", "b"), env)
+        assert logic.eval(w, In("x", "X"), {"x": 2, "X": {1, 2}})
+        assert not logic.eval(w, In("x", "X"), {"x": 2, "X": frozenset()})
+        with pytest.raises(PositionOutOfRange):
+            logic.eval(Grid(2, 2), Rel("P_a", ("u",)), {"u": (3, 1)})
+
     def test_second_order_cap(self):
         w = nested(S2, ("a",) * 4)
         formula = ExistsSO("X", Forall("x", In("x", "X")))
@@ -95,6 +106,7 @@ class TestEval:
         assert free_vars(CALLS_MATCH_B) == frozenset()
         assert free_vars(Match("x", "y")) == {"x", "y"}
         assert free_vars(ExistsFO("x", In("x", "X"))) == {"X"}
+        assert free_vars(ExistsSO("X", In("x", "X"))) == {"x"}
 
     def test_non_formula_node(self):
         w = nested(S2, ("a",))
