@@ -45,6 +45,17 @@ def _guarded(f):
     return wrapper
 
 
+def _verdicts(words, decide, yes, no):
+    """Echo one verdict per word, in order; exit 1 unless every one is ``yes``."""
+    all_ok = True
+    for word in words:
+        ok = decide(word)
+        all_ok = all_ok and ok
+        click.echo(yes if ok else no)
+    if not all_ok:
+        sys.exit(1)
+
+
 def _emit_automaton(machine, out):
     data = automata.automaton_to_json(machine)
     text = json.dumps(data, indent=2, sort_keys=True)
@@ -95,17 +106,13 @@ def nest(word_file, alphabet_path, dot):
 def simulate(automaton_file, word_file):
     """Run an automaton on each word; exit 0 only if all are accepted."""
     machine = automata.load_automaton(automaton_file)
-    words = core.read_word_file(word_file, machine.alphabet)
-    all_ok = True
-    for word in words:
+
+    def accepts(word):
         if isinstance(machine, automata.Mvpa):
-            ok = automata.mvpa_accepts(machine, word.labels)
-        else:
-            ok = automata.mnwa_accepts(machine, word)
-        all_ok = all_ok and ok
-        click.echo("ACCEPT" if ok else "REJECT")
-    if not all_ok:
-        sys.exit(1)
+            return automata.mvpa_accepts(machine, word.labels)
+        return automata.mnwa_accepts(machine, word)
+
+    _verdicts(core.read_word_file(word_file, machine.alphabet), accepts, "ACCEPT", "REJECT")
 
 
 @main.command()
@@ -227,13 +234,12 @@ def eval_cmd(word_file, formula_file, alphabet_path, so_limit):
     """Evaluate a closed formula on each word; exit 0 only if all hold."""
     alphabet = _alphabet(alphabet_path)
     formula = logic.parse_formula(Path(formula_file).read_text(encoding="utf-8"))
-    all_true = True
-    for word in core.read_word_file(word_file, alphabet):
-        value = logic.eval(word, formula, so_limit=so_limit)
-        all_true = all_true and value
-        click.echo("TRUE" if value else "FALSE")
-    if not all_true:
-        sys.exit(1)
+    _verdicts(
+        core.read_word_file(word_file, alphabet),
+        lambda word: logic.eval(word, formula, so_limit=so_limit),
+        "TRUE",
+        "FALSE",
+    )
 
 
 @main.command("compile-count")
@@ -258,13 +264,7 @@ def compile_count(expr_file, radius, word_file, corpus_dir, alphabet_path):
     if (word_file is None) == (corpus_dir is None):
         raise click.UsageError("need exactly one of --word or --check-against-corpus")
     if word_file is not None:
-        all_ok = True
-        for word in core.read_word_file(word_file, alphabet):
-            ok = compiled.accepts(word)
-            all_ok = all_ok and ok
-            click.echo("ACCEPT" if ok else "REJECT")
-        if not all_ok:
-            sys.exit(1)
+        _verdicts(core.read_word_file(word_file, alphabet), compiled.accepts, "ACCEPT", "REJECT")
         return
     checked = 0
     for file in sorted(Path(corpus_dir).glob("*.txt")):
@@ -317,13 +317,8 @@ def grid_verify(n, m):
 @_guarded
 def grid_member(word_file):
     """Decide whether each word encodes some grid."""
-    all_ok = True
-    for word in core.read_word_file(word_file, grids.GRID_ALPHABET):
-        ok = grids.image_membership(word)
-        all_ok = all_ok and ok
-        click.echo("MEMBER" if ok else "NOT MEMBER")
-    if not all_ok:
-        sys.exit(1)
+    words = core.read_word_file(word_file, grids.GRID_ALPHABET)
+    _verdicts(words, grids.image_membership, "MEMBER", "NOT MEMBER")
 
 
 @main.command()

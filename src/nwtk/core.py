@@ -21,7 +21,6 @@ from .errors import (
     PositionOutOfRange,
     UnknownSymbol,
 )
-from .spheres import _bfs, _word_neighbours
 
 CALL = "call"
 RETURN = "return"
@@ -158,9 +157,9 @@ class NestedWord:
 
     The three maps are read-only views over private dicts, made afresh on
     each access: the word cannot be changed through them, and it stores no
-    view of its own.  The sphere traversals in ``spheres`` read the private
-    dicts ``_mu``, ``_mu_inv`` and ``_stack_of`` directly, one lookup per
-    visited node without a view in between.
+    view of its own.  ``_word_adj`` and the sphere traversals in ``spheres``
+    read the private dicts ``_mu``, ``_mu_inv`` and ``_stack_of`` directly,
+    one lookup per visited node without a view in between.
     """
 
     __slots__ = ("alphabet", "labels", "_mu", "_mu_inv", "_stack_of", "pending")
@@ -239,6 +238,38 @@ class NestedWord:
         return f"NestedWord({' '.join(self.labels)})"
 
 
+def _word_adj(word: NestedWord) -> list:
+    """The word's neighbour table for ``_bfs``: slot v holds the
+    successor-out, successor-in, matching-out and matching-in neighbour of
+    position v, None where that edge is absent; slot 0 is unused."""
+    n = len(word.labels)
+    mu = word._mu
+    mu_inv = word._mu_inv
+    return [None] + [
+        (v + 1 if v < n else None, v - 1 if v > 1 else None, mu.get(v), mu_inv.get(v))
+        for v in range(1, n + 1)
+    ]
+
+
+def _bfs(center, adj, limit: int):
+    """Nodes within ``limit`` of ``center`` in visiting order, and their distances.
+
+    ``adj[v]`` holds the four neighbours of v in the order of ``_word_adj``;
+    this fixed order makes the visiting order canonical.
+    """
+    order = [center]
+    dist = {center: 0}
+    for v in order:  # also reaches the nodes appended below
+        d = dist[v] + 1
+        if d > limit:
+            break
+        for u in adj[v]:
+            if u is not None and u not in dist:
+                dist[u] = d
+                order.append(u)
+    return order, dist
+
+
 def nested(alphabet: CallReturnAlphabet, tokens) -> NestedWord:
     """Build the nested word of a token sequence.
 
@@ -302,7 +333,7 @@ def distance(word: NestedWord, i: int, j: int) -> int:
     for p in (i, j):
         if not 1 <= p <= n:
             raise PositionOutOfRange(f"position {p} not in 1..{n}")
-    return _bfs(i, _word_neighbours(word), n)[1][j]
+    return _bfs(i, _word_adj(word), n)[1][j]
 
 
 def iter_token_tuples(alphabet: CallReturnAlphabet, max_len: int):

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import RETURN
+from .core import RETURN, _bfs
 from .errors import InvalidState, LengthMismatch
-from .spheres import Sphere, _bfs, _keys, _word_neighbours, sphere
+from .spheres import Sphere, _cached, _keys, sphere
 
 __all__ = [
     "ExtendedSphere",
@@ -45,12 +45,7 @@ class ExtendedSphere:
         self.active = active
         self.color = color
         self.key = (core.key, core.index_of[active], color)
-        self.so = core.succ_out.get(active)
-        self.si = core.succ_in.get(active)
-        mo = core.mu_out.get(active)
-        self.mo = mo[0] if mo else None
-        mi = core.mu_in.get(active)
-        self.mi = mi[0] if mi else None
+        self.so, self.si, self.mo, self.mi = core.adj[active]
         self.dist = core.dist[active]
 
     def key_at(self, node):
@@ -215,13 +210,13 @@ def _overlap_adjacency(word, r, keys):
     for i, key in enumerate(keys, 1):
         groups.setdefault(key, []).append(i)
     adj = {i: [] for i in word.positions()}
-    neighbours = _word_neighbours(word)
+    word_adj = _cached(word, r)[0]
     for group in groups.values():
         if len(group) < 2:
             continue
         gset = set(group)
         for i in group:
-            order, _ = _bfs(i, neighbours, 2 * r + 1)
+            order, _ = _bfs(i, word_adj, 2 * r + 1)
             adj[i] = [u for u in order[1:] if u in gset]
     return adj
 

@@ -5,11 +5,13 @@ distance of a center, where distance counts successor and matching edges
 alike.  Spheres are compared up to isomorphism that fixes the center.
 
 Every node carries at most one edge of each kind (successor out/in,
-matching out/in), so a breadth-first traversal from the center that
-expands edge kinds in a fixed order visits nodes in an order any
-isomorphic sphere reproduces exactly.  That order yields a canonical
-form in linear time; no search over bijections is needed, and the
-traversal level of a node is its distance from the center.
+matching out/in), so its neighbours fit one four-slot tuple, None where
+an edge is absent.  A word's table (``core._word_adj``) and a sphere's
+(``Sphere.adj``) hold these tuples, and one breadth-first traversal,
+``core._bfs``, reads either.  Expanding the slots in a fixed order visits
+nodes in an order any isomorphic sphere reproduces exactly.  That order
+yields a canonical form in linear time; no search over bijections is
+needed, and the traversal level of a node is its distance from the center.
 
 The same traversal serves a word and a sphere cut out of it.  Every
 shortest path from the center to a node within distance r stays inside
@@ -20,27 +22,31 @@ therefore read off one bounded pass over the word, without building the
 sphere first.
 
 The same pass builds the sphere itself.  ``Sphere(...)`` checks its input
-graph and traverses its own edge maps, because a caller may hand it any
+graph and traverses its own table, because a caller may hand it any
 graph; ``sphere`` skips those checks and that second traversal, since a
 ball cut from a ``NestedWord`` satisfies them by construction: it is
 connected and lies within radius r (every node was reached from the
-center in at most r steps), its edges join two nodes of the ball (only
-edges with both ends visited are kept), and it has at most one edge of
-each kind per node (a word has one successor, one predecessor and at most
-one matching partner per position).  The visiting order and distances of
-that pass are the ones the sphere's own traversal would produce, so both
-paths end in one field layout, ``Sphere._fill``.
+center in at most r steps), its edges join two nodes of the ball (the
+word's table restricted to the ball keeps only visited neighbours), and
+it has at most one edge of each kind per node (a word has one successor,
+one predecessor and at most one matching partner per position).  The
+visiting order and distances of that pass are the ones the sphere's own
+traversal would produce, so both paths end in one field layout,
+``Sphere._fill``.
 
 Keys are computed once per word and radius.  A one-word cache holds the
-most recent word (matched by identity; words are immutable) and, per
-radius, the keys of its positions, each filled in on first use by that
-bounded pass.  The pair (word, table) is published as one tuple, so
-threads working on different words only evict each other and recompute.
+most recent word (matched by identity; words are immutable), its
+neighbour table and, per radius, the keys of its positions, each filled
+in on first use by that bounded pass.  The triple (word, table, keys) is
+published as one tuple, so threads working on different words only evict
+each other and recompute.
 """
 
 from __future__ import annotations
 
 import json
+
+from .core import _bfs, _word_adj, iter_token_tuples, nested
 from .errors import InvalidSphere, PositionOutOfRange, RadiusMismatch
 
 __all__ = [
@@ -64,49 +70,15 @@ def max_size_bound(radius: int) -> int:
     return 1 + 3 * (2**radius - 1)
 
 
-def _bfs(center, neighbours, limit: int):
-    """Nodes within ``limit`` of ``center`` in visiting order, and their distances.
-
-    ``neighbours(v)`` gives the successor-out, successor-in, matching-out
-    and matching-in neighbour of v, None where that edge is absent; this
-    fixed order makes the visiting order canonical.
-    """
-    order = [center]
-    dist = {center: 0}
-    for v in order:  # also reaches the nodes appended below
-        d = dist[v] + 1
-        if d > limit:
-            break
-        for u in neighbours(v):
-            if u is not None and u not in dist:
-                dist[u] = d
-                order.append(u)
-    return order, dist
-
-
-def _word_neighbours(word):
-    """``neighbours`` for ``_bfs`` over the positions of a word.
-
-    Reads the word's private maps; the public ``mu`` and ``mu_inv`` are
-    read-only views that would add a call per lookup on this hot path.
-    """
-    n = len(word.labels)
-    mu = word._mu
-    mu_inv = word._mu_inv
-    return lambda v: (
-        v + 1 if v < n else None,
-        v - 1 if v > 1 else None,
-        mu.get(v),
-        mu_inv.get(v),
-    )
-
-
 class Sphere:
     """An induced neighborhood with a distinguished center.
 
     ``nodes`` keep their original identities (word positions when the
     sphere was extracted from a word).  ``succ`` holds directed successor
-    pairs, ``mu`` directed matching triples (call, return, stack).
+    pairs, ``mu`` directed matching triples (call, return, stack).  ``adj``
+    maps each node to its successor-out, successor-in, matching-out and
+    matching-in neighbour, None where that edge is absent; stack tags are
+    read from ``mu``.
     """
 
     __slots__ = (
@@ -116,10 +88,7 @@ class Sphere:
         "mu",
         "center",
         "radius",
-        "succ_out",
-        "succ_in",
-        "mu_out",
-        "mu_in",
+        "adj",
         "index_of",
         "dist",
         "key",
@@ -127,63 +96,43 @@ class Sphere:
 
     def __init__(self, nodes, labels, succ, mu, center, radius):
         nodes = tuple(sorted(nodes))
-        node_set = set(nodes)
-        if center not in node_set:
+        slots = {v: [None, None, None, None] for v in nodes}
+        if center not in slots:
             raise InvalidSphere(f"center {center!r} is not a node")
         if radius < 0:
             raise InvalidSphere("radius must be non-negative")
         _check_size(len(nodes), radius)
-        succ_out: dict = {}
-        succ_in: dict = {}
-        mu_out: dict = {}
-        mu_in: dict = {}
         succ = tuple(sorted(succ))
         mu = tuple(sorted(mu))
         for i, j in succ:
-            if i not in node_set or j not in node_set:
+            if i not in slots or j not in slots:
                 raise InvalidSphere(f"successor edge ({i}, {j}) leaves the node set")
-            if i in succ_out or j in succ_in:
+            if slots[i][0] is not None or slots[j][1] is not None:
                 raise InvalidSphere("a node has two successor edges of one kind")
-            succ_out[i] = j
-            succ_in[j] = i
+            slots[i][0] = j
+            slots[j][1] = i
         for i, j, s in mu:
-            if i not in node_set or j not in node_set:
+            if i not in slots or j not in slots:
                 raise InvalidSphere(f"matching edge ({i}, {j}) leaves the node set")
-            if i in mu_out or i in mu_in or j in mu_out or j in mu_in:
+            if slots[i][2:] != [None, None] or slots[j][2:] != [None, None]:
                 raise InvalidSphere("a node is matched twice")
             if s < 1:
                 raise InvalidSphere("stack tags are 1-based")
-            mu_out[i] = (j, s)
-            mu_in[j] = (i, s)
+            slots[i][2] = j
+            slots[j][3] = i
         labels = dict(labels)
-        if set(labels) != node_set:
+        if labels.keys() != slots.keys():
             raise InvalidSphere("labels must cover exactly the node set")
-
+        adj = {v: tuple(a) for v, a in slots.items()}
         # canonical traversal; doubles as the connectivity and radius check
-        def neighbours(v):
-            mo = mu_out.get(v)
-            mi = mu_in.get(v)
-            return (
-                succ_out.get(v),
-                succ_in.get(v),
-                mo[0] if mo else None,
-                mi[0] if mi else None,
-            )
-
-        order, dist = _bfs(center, neighbours, len(nodes))
+        order, dist = _bfs(center, adj, len(nodes))
         if len(order) != len(nodes):
             raise InvalidSphere("sphere is not connected to its center")
         if dist[order[-1]] > radius:
             raise InvalidSphere("a node lies farther from the center than the radius")
-        self._fill(
-            nodes, labels, succ, mu, center, radius,
-            succ_out, succ_in, mu_out, mu_in, order, dist,
-        )
+        self._fill(nodes, labels, succ, mu, center, radius, adj, order, dist)
 
-    def _fill(
-        self, nodes, labels, succ, mu, center, radius,
-        succ_out, succ_in, mu_out, mu_in, order, dist,
-    ):
+    def _fill(self, nodes, labels, succ, mu, center, radius, adj, order, dist):
         """Set every field from a checked graph and its canonical traversal."""
         index_of = dict(zip(order, range(len(order))))
         edges = sorted(
@@ -196,10 +145,7 @@ class Sphere:
         self.mu = mu
         self.center = center
         self.radius = radius
-        self.succ_out = succ_out
-        self.succ_in = succ_in
-        self.mu_out = mu_out
-        self.mu_in = mu_in
+        self.adj = adj
         self.index_of = index_of
         self.dist = dist
         self.key = (radius, tuple([labels[v] for v in order]), tuple(edges))
@@ -213,7 +159,9 @@ class Sphere:
 
 
 def _check_size(size: int, radius: int):
-    if size > max_size_bound(radius):
+    # from radius size.bit_length() on the bound exceeds any size; skipping
+    # the power there keeps a huge radius read from a file cheap
+    if radius < size.bit_length() and size > max_size_bound(radius):
         raise InvalidSphere(f"{size} nodes exceed the size bound for radius {radius}")
 
 
@@ -232,44 +180,33 @@ def sphere(word, i: int, r: int) -> Sphere:
     docstring says why the constructor's graph checks hold here.
     """
     _check_center(word, i, r)
-    order, dist = _bfs(i, _word_neighbours(word), r)
+    word_adj = _cached(word, r)[0]
+    order, dist = _bfs(i, word_adj, r)
     _check_size(len(order), r)
     nodes = tuple(sorted(order))
-    labels = word.labels
-    mu = word._mu
+    adj = {v: tuple([u if u in dist else None for u in word_adj[v]]) for v in nodes}
+    labels = {v: word.labels[v - 1] for v in order}
+    succ = tuple([(v, adj[v][0]) for v in nodes if adj[v][0] is not None])
     stack_of = word._stack_of
-    succ = tuple([(v, v + 1) for v in nodes if v + 1 in dist])
-    matching = tuple([(v, mu[v], stack_of[v]) for v in nodes if mu.get(v) in dist])
+    mu = tuple([(v, adj[v][2], stack_of[v]) for v in nodes if adj[v][2] is not None])
     s = Sphere.__new__(Sphere)
-    s._fill(
-        nodes,
-        {v: labels[v - 1] for v in order},
-        succ,
-        matching,
-        i,
-        r,
-        dict(succ),
-        {j: v for v, j in succ},
-        {v: (j, t) for v, j, t in matching},
-        {j: (v, t) for v, j, t in matching},
-        order,
-        dist,
-    )
+    s._fill(nodes, labels, succ, mu, i, r, adj, order, dist)
     return s
 
 
-def _key(word, i: int, r: int):
-    """Canonical key of the radius-r ball around a valid position i."""
-    order, _ = _bfs(i, _word_neighbours(word), r)
+def _key(word, adj, i: int, r: int):
+    """Canonical key of the radius-r ball around a valid position i;
+    ``adj`` is the word's neighbour table."""
+    order, _ = _bfs(i, adj, r)
     index_of = dict(zip(order, range(len(order))))
-    mu = word._mu
     stack_of = word._stack_of
     edges = []
     for k, v in enumerate(order):
-        j = index_of.get(v + 1)
+        so, _, mo, _ = adj[v]
+        j = index_of.get(so)
         if j is not None:
             edges.append((k, j, 0))
-        j = index_of.get(mu.get(v))
+        j = index_of.get(mo)
         if j is not None:
             edges.append((k, j, stack_of[v]))
     edges.sort()
@@ -277,21 +214,22 @@ def _key(word, i: int, r: int):
     return (r, tuple([labels[v - 1] for v in order]), tuple(edges))
 
 
-# (word, {radius: [key of position i at index i - 1, or None]})
-_recent = (None, {})
+# (word, its neighbour table, {radius: [key of position i at index i - 1, or None]})
+_recent = (None, None, {})
 
 
-def _cached_keys(word, r: int) -> list:
-    """The cache's key slots for one word and radius, evicting any other word."""
+def _cached(word, r: int):
+    """The word's neighbour table and the cache's key slots at radius r,
+    evicting any other word."""
     global _recent
-    recent_word, table = _recent
+    recent_word, adj, table = _recent
     if recent_word is not word:
-        table = {}
-        _recent = (word, table)
+        adj, table = _word_adj(word), {}
+        _recent = (word, adj, table)
     slots = table.get(r)
     if slots is None:
         slots = table[r] = [None] * len(word.labels)
-    return slots
+    return adj, slots
 
 
 def _keys(word, r: int) -> list:
@@ -301,10 +239,10 @@ def _keys(word, r: int) -> list:
     """
     if r < 0:
         raise InvalidSphere("radius must be non-negative")
-    slots = _cached_keys(word, r)
+    adj, slots = _cached(word, r)
     for i, key in enumerate(slots, 1):
         if key is None:
-            slots[i - 1] = _key(word, i, r)
+            slots[i - 1] = _key(word, adj, i, r)
     return slots
 
 
@@ -315,10 +253,10 @@ def sphere_key(word, i: int, r: int):
     ``Sphere`` constructor exactly.
     """
     _check_center(word, i, r)
-    slots = _cached_keys(word, r)
+    adj, slots = _cached(word, r)
     key = slots[i - 1]
     if key is None:
-        key = slots[i - 1] = _key(word, i, r)
+        key = slots[i - 1] = _key(word, adj, i, r)
     return key
 
 
@@ -342,8 +280,6 @@ def enumerate_spheres(alphabet, r: int, max_len: int):
     An under-approximation of the full shape space, adequate as a
     corpus-backed universe; returns one representative per shape.
     """
-    from .core import iter_token_tuples, nested
-
     seen = {}
     for tokens in iter_token_tuples(alphabet, max_len):
         word = nested(alphabet, tokens)

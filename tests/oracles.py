@@ -133,6 +133,34 @@ def declarative_matches(alphabet, tokens):
     return sorted(out)
 
 
+def distances_by_search(alphabet, tokens):
+    """Shortest-path length of every pair of positions, keyed (i, j), over
+    successor edges and the pairs of ``declarative_matches``, one plain
+    breadth-first search per source position."""
+    n = len(tokens)
+    nbrs = {p: set() for p in range(1, n + 1)}
+    for p in range(1, n):
+        nbrs[p].add(p + 1)
+        nbrs[p + 1].add(p)
+    for i, j, _ in declarative_matches(alphabet, tokens):
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    out = {}
+    for source in nbrs:
+        seen = {source: 0}
+        frontier = [source]
+        while frontier:
+            nxt = []
+            for p in frontier:
+                for q in nbrs[p]:
+                    if q not in seen:
+                        seen[q] = seen[p] + 1
+                        nxt.append(q)
+            frontier = nxt
+        out.update(((source, q), d) for q, d in seen.items())
+    return out
+
+
 # ---------------------------------------------------------------------------
 # generalized-run search (independent of the stack-machine route)
 
@@ -300,12 +328,22 @@ def sphere_iso_forced(s1, s2) -> bool:
     if s1.radius != s2.radius or len(s1.nodes) != len(s2.nodes):
         return False
 
-    def ends(s, v):
-        mo = s.mu_out.get(v)
-        mi = s.mu_in.get(v)
+    def edge_maps(s):
+        succ_out = {i: j for i, j in s.succ}
+        succ_in = {j: i for i, j in s.succ}
+        mu_out = {i: (j, t) for i, j, t in s.mu}
+        mu_in = {j: (i, t) for i, j, t in s.mu}
+        return succ_out, succ_in, mu_out, mu_in
+
+    maps1, maps2 = edge_maps(s1), edge_maps(s2)
+
+    def ends(maps, v):
+        succ_out, succ_in, mu_out, mu_in = maps
+        mo = mu_out.get(v)
+        mi = mu_in.get(v)
         return (
-            s.succ_out.get(v),
-            s.succ_in.get(v),
+            succ_out.get(v),
+            succ_in.get(v),
             mo[0] if mo else None,
             mo[1] if mo else None,
             mi[0] if mi else None,
@@ -319,8 +357,8 @@ def sphere_iso_forced(s1, s2) -> bool:
         v = mapping[u]
         if s1.labels[u] != s2.labels[v]:
             return False
-        e1 = ends(s1, u)
-        e2 = ends(s2, v)
+        e1 = ends(maps1, u)
+        e2 = ends(maps2, v)
         if e1[3] != e2[3] or e1[5] != e2[5]:  # stack tags
             return False
         for a, b in ((e1[0], e2[0]), (e1[1], e2[1]), (e1[2], e2[2]), (e1[4], e2[4])):

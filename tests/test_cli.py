@@ -1,6 +1,7 @@
 """End-to-end command-line checks, one scenario per subcommand."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -573,6 +574,103 @@ class TestCompileCount:
             ["compile-count", str(tmp_path / "c.txt"), "--word", files("w.txt", "a")],
         )
         assert_input_error(result)
+
+    def test_huge_radius(self, tmp_path, files):
+        """A radius read from a file is checked against the size bound
+        without computing a power of two that large."""
+        write_json(tmp_path, "s.json", {**self.GOOD, "radius": 10**9})
+        (tmp_path / "c.txt").write_text("(count-gt s.json 0)\n", encoding="utf-8")
+        start = time.perf_counter()
+        result = runner.invoke(
+            main,
+            ["compile-count", str(tmp_path / "c.txt"), "--word", files("w.txt", "a")],
+        )
+        assert time.perf_counter() - start < 2
+        assert result.exit_code == 0 and result.output == "ACCEPT\n"
+
+
+# spheres whose JSON the sphere-file fuzz test edits: (word over S2, center, radius)
+SPHERE_SEEDS = (*COUNT_SPHERES.values(), (tuple(WORD10.split()), 1, 1),
+                (tuple(WORD10.split()), 5, 2))
+ABSENT, STRAY = 1000, 999  # ids no seed sphere uses
+
+
+def _sphere_rows(draw, data):
+    return data[draw(st.sampled_from(("succ", "match")))]
+
+
+def _duplicate_row(draw, data):
+    rows = _sphere_rows(draw, data)
+    if rows:
+        rows.append(list(draw(st.sampled_from(rows))))
+    return bool(rows)
+
+
+def _absent_endpoint(draw, data):
+    rows = _sphere_rows(draw, data)
+    if rows:
+        draw(st.sampled_from(rows))[draw(st.integers(0, 1))] = ABSENT
+    return bool(rows)
+
+
+def _stack_tag_zero(draw, data):
+    rows = data["match"]
+    if rows:
+        draw(st.sampled_from(rows))[2] = 0
+    return bool(rows)
+
+
+def _absent_center(draw, data):
+    data["center"] = ABSENT
+    return True
+
+
+def _negative_radius(draw, data):
+    data["radius"] = draw(st.integers(-3, -1))
+    return True
+
+
+def _stray_node(draw, data):
+    data["nodes"].append({"id": STRAY, "label": draw(st.sampled_from(("a", "b~")))})
+    return True
+
+
+SPHERE_BREAKS = (_duplicate_row, _absent_endpoint, _stack_tag_zero, _absent_center,
+                 _negative_radius, _stray_node)
+
+
+@st.composite
+def mutated_sphere(draw):
+    """A seed sphere's JSON after a few edits, and whether one of them
+    always makes it invalid.  Edits that may keep it valid (a dropped row,
+    a huge radius) come first, so none undoes a breaking one."""
+    tokens, center, radius = draw(st.sampled_from(SPHERE_SEEDS))
+    data = sphere_to_json(sphere(nested(S2, tokens), center, radius))
+    for _ in range(draw(st.integers(0, 2))):
+        rows = _sphere_rows(draw, data)
+        if rows:
+            del rows[draw(st.integers(0, len(rows) - 1))]
+    if draw(st.booleans()):
+        data["radius"] = 10**9
+    broken = False
+    for edit in draw(st.lists(st.sampled_from(SPHERE_BREAKS), max_size=2)):
+        broken = edit(draw, data) or broken
+    return data, broken
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=mutated_sphere())
+def test_sphere_file_fuzz_keeps_the_exit_code_contract(case, tmp_path_factory):
+    data, broken = case
+    root = tmp_path_factory.getbasetemp() / "sphere-fuzz"
+    root.mkdir(exist_ok=True)
+    write_json(root, "s.json", data)
+    (root / "c.txt").write_text("(count-gt s.json 0)", encoding="utf-8")
+    (root / "w.txt").write_text(WORD_SEEDS[1], encoding="utf-8")
+    result = runner.invoke(
+        main, ["compile-count", str(root / "c.txt"), "--word", str(root / "w.txt")]
+    )
+    assert_fuzz_contract(result, broken, ("ACCEPT", "REJECT"))
 
 
 class TestGrid:

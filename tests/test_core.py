@@ -28,7 +28,7 @@ from nwtk.errors import (
 )
 
 from fixtures import S2, S2C, S3, WORD10, word10
-from oracles import declarative_matches, grammar_well_formed
+from oracles import declarative_matches, distances_by_search, grammar_well_formed
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +167,14 @@ class TestDistance:
         for i in w.positions():
             for j in w.positions():
                 assert distance(w, i, j) == distance(w, j, i)
+
+    def test_agrees_with_a_search_over_the_declarative_matching(self):
+        for alphabet, max_len in ((S2C, 6), (S3, 5)):
+            for tokens in iter_token_tuples(alphabet, max_len):
+                w = nested(alphabet, tokens)
+                want = distances_by_search(alphabet, tokens)
+                got = {(i, j): distance(w, i, j) for i in w.positions() for j in w.positions()}
+                assert got == want, tokens
 
     def test_out_of_range(self):
         with pytest.raises(PositionOutOfRange):

@@ -348,8 +348,8 @@ class TestKeyCache:
         a, b = word10(), word16()
         key = sphere_module._key
 
-        def interleaved(word, i, r):
-            out = key(word, i, r)
+        def interleaved(word, adj, i, r):
+            out = key(word, adj, i, r)
             if word is a:
                 sphere_key(b, i, r)
             return out
