@@ -9,12 +9,17 @@ Two equivalent acceptor families over the same alphabets:
   state reached just after its matching call.  A generalized variant adds
   a set of calling states that must only occur at matched calls.
 
-Conversions preserve the accepted language.  Whole-word acceptance for
-both families is one frontier simulation on the word's own nesting, which
-the input fixes: ``mnwa_accepts`` saves the state at each open matched call
-and hands it to the matching return, and ``mvpa_accepts`` applies the call
-rows at pending calls without pushing, since nothing ever pops those
-symbols.  Neither goes through a conversion; the constructions are checked
+On a known nesting the two are one acceptor: a matched call saves a value
+that its return reads, the pushed symbol of an ``Mvpa`` or the state after
+the call of an ``Mnwa``.  Both constructors index their rows into the same
+three tables: ``_push[(q, a)]`` holds the pairs (saved value, q2) of a
+matched call; ``_step[(q, a)]`` the q2 where no matching edge arrives or
+leaves (a pending call pushes nothing, a pending return reads the bottom
+symbol, and no calling state is entered); ``_pop[(saved value, q, a)]`` the
+q2 of a matched return.  ``_accepts`` is the one whole-word simulation on
+them, behind ``mvpa_accepts`` and ``mnwa_accepts``; ``mvpa_step`` and
+``mnwa_run_check`` read the same tables.  Nothing goes through a
+conversion: the conversions preserve the accepted language and are checked
 against this engine, and an independent run search in ``tests/oracles.py``
 checks the engine.
 
@@ -26,6 +31,7 @@ JSON array, and ``automaton_from_json`` reads an array back as a tuple.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from functools import cache
 from itertools import chain, product as iproduct
 
@@ -35,6 +41,7 @@ from .core import (
     RETURN,
     _immutable,
     alphabet_to_json,
+    nested,
     validate_alphabet,
 )
 from .errors import (
@@ -66,9 +73,20 @@ __all__ = [
 
 def _check_states(states, *groups):
     for group in groups:
-        for q in group:
-            if q not in states:
-                raise NwtkError(f"unknown state {q!r}")
+        if not states.issuperset(group):
+            raise NwtkError(f"unknown state {next(q for q in group if q not in states)!r}")
+
+
+def _check_letters(alphabet, letters, kind, message):
+    """Raise AlphabetMismatch, formatted from ``message``, at a letter not of ``kind``."""
+    for a in letters:
+        if alphabet.classify(a).kind != kind:
+            raise AlphabetMismatch(message.format(a))
+
+
+def _columns(rows, width) -> list:
+    """The columns of ``rows`` as sets: each distinct value is checked once."""
+    return [set(column) for column in zip(*rows)] or [set()] * width
 
 
 class Mvpa:
@@ -84,9 +102,9 @@ class Mvpa:
         "delta_call",
         "delta_return",
         "delta_internal",
-        "_call",
-        "_ret",
-        "_int",
+        "_push",
+        "_step",
+        "_pop",
     )
 
     def __init__(
@@ -114,31 +132,32 @@ class Mvpa:
         if bottom in self.gamma:
             raise NwtkError("the bottom symbol cannot be a pushable stack symbol")
         _check_states(self.states, self.initial, self.final)
-        call_idx: dict = {}
-        ret_idx: dict = {}
-        int_idx: dict = {}
+        cq, ca, cA, cq2 = _columns(self.delta_call, 4)
+        rq, ra, rA, rq2 = _columns(self.delta_return, 4)
+        iq, ia, iq2 = _columns(self.delta_internal, 3)
+        _check_letters(alphabet, ca, CALL, "{!r} is not a call symbol")
+        _check_letters(alphabet, ra, RETURN, "{!r} is not a return symbol")
+        _check_letters(alphabet, ia, INTERNAL, "{!r} is not an internal symbol")
+        for A in cA - self.gamma:
+            raise NwtkError(f"call transitions must push a proper symbol, got {A!r}")
+        for A in rA - self.gamma - {bottom}:
+            raise NwtkError(f"unknown stack symbol {A!r}")
+        _check_states(self.states, cq, cq2, rq, rq2, iq, iq2)
+        # a set: call rows that push different symbols share their step
+        push, step, pop = defaultdict(list), defaultdict(set), defaultdict(list)
         for q, a, A, q2 in self.delta_call:
-            if alphabet.classify(a).kind != CALL:
-                raise AlphabetMismatch(f"{a!r} is not a call symbol")
-            if A not in self.gamma:
-                raise NwtkError(f"call transitions must push a proper symbol, got {A!r}")
-            _check_states(self.states, (q, q2))
-            call_idx.setdefault((q, a), []).append((A, q2))
+            push[q, a].append((A, q2))
+            step[q, a].add(q2)
         for q, a, A, q2 in self.delta_return:
-            if alphabet.classify(a).kind != RETURN:
-                raise AlphabetMismatch(f"{a!r} is not a return symbol")
-            if A != bottom and A not in self.gamma:
-                raise NwtkError(f"unknown stack symbol {A!r}")
-            _check_states(self.states, (q, q2))
-            ret_idx.setdefault((q, a), []).append((A, q2))
+            if A == bottom:
+                step[q, a].add(q2)
+            else:
+                pop[A, q, a].append(q2)
         for q, a, q2 in self.delta_internal:
-            if alphabet.classify(a).kind != INTERNAL:
-                raise AlphabetMismatch(f"{a!r} is not an internal symbol")
-            _check_states(self.states, (q, q2))
-            int_idx.setdefault((q, a), []).append(q2)
-        init(self, "_call", {k: tuple(v) for k, v in call_idx.items()})
-        init(self, "_ret", {k: tuple(v) for k, v in ret_idx.items()})
-        init(self, "_int", {k: tuple(v) for k, v in int_idx.items()})
+            step[q, a].add(q2)
+        init(self, "_push", dict(push))
+        init(self, "_step", dict(step))
+        init(self, "_pop", dict(pop))
 
     __setattr__ = __delattr__ = _immutable
 
@@ -149,72 +168,50 @@ def mvpa_initial_configs(a: Mvpa) -> frozenset:
     return frozenset((q, empty) for q in a.initial)
 
 
-def _moves(a: Mvpa, configs, symbol: str, cls, push: bool) -> set:
-    """Configurations reached from ``configs`` by reading ``symbol`` of class
-    ``cls``; a call pushes its stack symbol only when ``push`` is true."""
-    out = set()
-    add = out.add
-    if cls.kind == CALL:
-        s = cls.stack - 1
-        rows = a._call.get
-        for q, stacks in configs:
-            for A, q2 in rows((q, symbol), ()):
-                add((q2, (stacks[:s] + ((A,) + stacks[s],) + stacks[s + 1 :]) if push else stacks))
-    elif cls.kind == RETURN:
-        s = cls.stack - 1
-        bottom = a.bottom
-        rows = a._ret.get
-        for q, stacks in configs:
-            st = stacks[s]
-            for A, q2 in rows((q, symbol), ()):
-                if A == bottom:
-                    if not st:
-                        add((q2, stacks))
-                elif st and st[0] == A:
-                    add((q2, stacks[:s] + (st[1:],) + stacks[s + 1 :]))
-    else:
-        rows = a._int.get
-        for q, stacks in configs:
-            for q2 in rows((q, symbol), ()):
-                add((q2, stacks))
-    return out
-
-
 def mvpa_step(a: Mvpa, configs, symbol: str) -> frozenset:
     """All configurations reachable from ``configs`` by reading one symbol.
 
     Every call pushes: the next symbols are unknown, so any call may still
-    be matched.
+    be matched.  A return pops the top symbol, or reads the bottom symbol
+    on an empty stack.
     """
-    return frozenset(_moves(a, configs, symbol, a.alphabet.classify(symbol), True))
+    cls = a.alphabet.classify(symbol)
+    out = set()
+    add = out.add
+    if cls.kind == CALL:
+        s = cls.stack - 1
+        rows = a._push.get
+        for q, stacks in configs:
+            for A, q2 in rows((q, symbol), ()):
+                add((q2, stacks[:s] + ((A,) + stacks[s],) + stacks[s + 1 :]))
+    elif cls.kind == RETURN:
+        s = cls.stack - 1
+        pop = a._pop.get
+        step = a._step.get
+        for q, stacks in configs:
+            st = stacks[s]
+            if st:
+                for q2 in pop((st[0], q, symbol), ()):
+                    add((q2, stacks[:s] + (st[1:],) + stacks[s + 1 :]))
+            else:
+                for q2 in step((q, symbol), ()):
+                    add((q2, stacks))
+    else:
+        rows = a._step.get
+        for q, stacks in configs:
+            for q2 in rows((q, symbol), ()):
+                add((q2, stacks))
+    return frozenset(out)
 
 
 def mvpa_accepts(a: Mvpa, tokens) -> bool:
     """Whether some run over the token sequence ends in a final state.
 
-    A pending call, one that no later return matches, pushes nothing: every
-    later return on its stack matches a later call, so the symbol it would
-    push is never read, and dropping it merges configurations that differ
-    only below the part of the stack the rest of the word reads.
+    The word's nesting fixes which calls are matched, so the run is
+    simulated on it: a matched call saves the symbol it pushes for its
+    return, and a pending call pushes nothing, since nothing ever pops it.
     """
-    tokens = tuple(tokens)
-    if not tokens:
-        raise EmptyWord("automata accept non-empty words only")
-    classes = [a.alphabet.classify(symbol) for symbol in tokens]
-    open_calls = [[] for _ in range(a.alphabet.k)]
-    for i, cls in enumerate(classes):
-        if cls.kind == CALL:
-            open_calls[cls.stack - 1].append(i)
-        elif cls.kind == RETURN and open_calls[cls.stack - 1]:
-            open_calls[cls.stack - 1].pop()
-    pending = set(chain.from_iterable(open_calls))
-    configs = mvpa_initial_configs(a)
-    for i, (symbol, cls) in enumerate(zip(tokens, classes)):
-        if not configs:
-            return False
-        configs = _moves(a, configs, symbol, cls, i not in pending)
-    final = a.final
-    return any(q in final for q, _ in configs)
+    return _accepts(a, nested(a.alphabet, tokens))
 
 
 class Mnwa:
@@ -223,7 +220,7 @@ class Mnwa:
     ``delta1`` rows (q, a, q') apply where no matching edge arrives;
     ``delta2`` rows (p, q, a, q') additionally require that the state
     right after the matching call was p.  States in ``calling`` may only
-    be visited at matched calls.
+    be visited at matched calls, so only the ``_push`` table enters them.
     """
 
     __slots__ = (
@@ -234,8 +231,9 @@ class Mnwa:
         "calling",
         "delta1",
         "delta2",
-        "_d1",
-        "_d2",
+        "_push",
+        "_step",
+        "_pop",
     )
 
     def __init__(self, alphabet, states, initial, final, delta1, delta2, calling=()):
@@ -248,21 +246,26 @@ class Mnwa:
         init(self, "delta1", frozenset(tuple(t) for t in delta1))
         init(self, "delta2", frozenset(tuple(t) for t in delta2))
         _check_states(self.states, self.initial, self.final, self.calling)
-        d1: dict = {}
-        d2: dict = {}
+        sq, sa, sq2 = _columns(self.delta1, 3)
+        rp, rq, ra, rq2 = _columns(self.delta2, 4)
+        kind = {a: alphabet.classify(a).kind for a in sa}
+        _check_letters(
+            alphabet, ra, RETURN, "matched-return transitions need return symbols, got {!r}"
+        )
+        _check_states(self.states, sq, sq2, rp, rq, rq2)
+        calling = self.calling
+        push, step, pop = defaultdict(list), defaultdict(list), defaultdict(list)
         for q, a, q2 in self.delta1:
-            alphabet.classify(a)
-            _check_states(self.states, (q, q2))
-            d1.setdefault((q, a), []).append(q2)
+            if kind[a] == CALL:
+                push[q, a].append((q2, q2))
+            if q2 not in calling:
+                step[q, a].append(q2)
         for p, q, a, q2 in self.delta2:
-            if alphabet.classify(a).kind != RETURN:
-                raise AlphabetMismatch(
-                    f"matched-return transitions need return symbols, got {a!r}"
-                )
-            _check_states(self.states, (p, q, q2))
-            d2.setdefault((p, q, a), []).append(q2)
-        init(self, "_d1", {k: tuple(v) for k, v in d1.items()})
-        init(self, "_d2", {k: tuple(v) for k, v in d2.items()})
+            if q2 not in calling:
+                pop[p, q, a].append(q2)
+        init(self, "_push", dict(push))
+        init(self, "_step", dict(step))
+        init(self, "_pop", dict(pop))
 
     __setattr__ = __delattr__ = _immutable
 
@@ -275,48 +278,38 @@ def mnwa_run_check(b: Mnwa, word, run) -> bool:
     n = len(word)
     if len(run) != n:
         raise LengthMismatch(f"run has {len(run)} states for {n} positions")
-    labels = word.labels
-    mu_inv = word.mu_inv
-    mu = word.mu
-    first = run[0]
-    if not any(first in b._d1.get((q, labels[0]), ()) for q in b.initial):
-        return False
-    for i in range(2, n + 1):
-        call = mu_inv.get(i)
-        if call is None:
-            if run[i - 1] not in b._d1.get((run[i - 2], labels[i - 1]), ()):
-                return False
-        elif run[i - 1] not in b._d2.get((run[call - 1], run[i - 2], labels[i - 1]), ()):
+    mu = word._mu
+    mu_inv = word._mu_inv
+    for i, (a, q2) in enumerate(zip(word.labels, run), start=1):
+        sources = (run[i - 2],) if i > 1 else b.initial
+        if i in mu:  # a matched call saves the state it enters
+            ok = any((q2, q2) in b._push.get((q, a), ()) for q in sources)
+        elif i in mu_inv:
+            ok = q2 in b._pop.get((run[mu_inv[i] - 1], run[i - 2], a), ())
+        else:
+            ok = any(q2 in b._step.get((q, a), ()) for q in sources)
+        if not ok:
             return False
-    if run[n - 1] not in b.final:
-        return False
-    calling = b.calling
-    if calling:
-        for i in range(1, n + 1):
-            if run[i - 1] in calling and i not in mu:
-                return False
-    return True
+    return run[n - 1] in b.final
 
 
-def mnwa_accepts(b: Mnwa, word) -> bool:
-    """Whether some run of ``b`` on the nested word ends in a final state.
+def _accepts(m, word) -> bool:
+    """Whether some run of ``m``, an Mvpa or an Mnwa, on the nested word ends
+    in a final state.
 
-    The frontier holds pairs (state, states saved at the currently open
+    The frontier holds pairs (state, values saved at the currently open
     matched calls, in call order).  The word fixes which slot a matched
-    return reads, so it is found once per position.  A state in ``calling``
-    may be entered only at a matched call.
+    return reads, so it is found once per position.
     """
-    if word.alphabet != b.alphabet:
-        raise AlphabetMismatch("word and automaton alphabets differ")
     labels = word.labels
     if not labels:
         raise EmptyWord("automata accept non-empty words only")
     mu = word._mu
     mu_inv = word._mu_inv
-    d1 = b._d1.get
-    d2 = b._d2.get
-    calling = b.calling
-    frontier = {(q, ()) for q in b.initial}
+    push = m._push.get
+    step = m._step.get
+    pop = m._pop.get
+    frontier = {(q, ()) for q in m.initial}
     open_calls = []  # the open matched calls, one per slot of the saved tuple
     for i, a in enumerate(labels, start=1):
         if not frontier:
@@ -326,24 +319,29 @@ def mnwa_accepts(b: Mnwa, word) -> bool:
         if i in mu:
             open_calls.append(i)
             for q, saved in frontier:
-                for q2 in d1((q, a), ()):
-                    add((q2, saved + (q2,)))
+                for value, q2 in push((q, a), ()):
+                    add((q2, saved + (value,)))
         elif i in mu_inv:
             slot = open_calls.index(mu_inv[i])
             del open_calls[slot]
             for q, saved in frontier:
                 rest = saved[:slot] + saved[slot + 1 :]
-                for q2 in d2((saved[slot], q, a), ()):
-                    if q2 not in calling:
-                        add((q2, rest))
+                for q2 in pop((saved[slot], q, a), ()):
+                    add((q2, rest))
         else:
             for q, saved in frontier:
-                for q2 in d1((q, a), ()):
-                    if q2 not in calling:
-                        add((q2, saved))
+                for q2 in step((q, a), ()):
+                    add((q2, saved))
         frontier = out
-    final = b.final
+    final = m.final
     return any(q in final for q, _ in frontier)
+
+
+def mnwa_accepts(b: Mnwa, word) -> bool:
+    """Whether some run of ``b`` on the nested word ends in a final state."""
+    if word.alphabet != b.alphabet:
+        raise AlphabetMismatch("word and automaton alphabets differ")
+    return _accepts(b, word)
 
 
 def mvpa_to_mnwa(a: Mvpa) -> Mnwa:

@@ -252,10 +252,16 @@ def eval(structure, formula, env=None, so_limit: int = DEFAULT_SO_LIMIT) -> bool
     env = dict(env) if env else {}
     run = _bind(structure, formula, env, so_limit)
     universe = structure.universe()
+    # an element of another type may still compare equal to one (True == 1.0 == 1)
+    sort = type(next(iter(universe), None))
+
+    def inside(value):
+        return type(value) is sort and value in universe
+
     for var, value in env.items():
-        if value in universe:
+        if inside(value):
             continue
-        if not (isinstance(value, (set, frozenset)) and all(v in universe for v in value)):
+        if not (isinstance(value, (set, frozenset)) and all(map(inside, value))):
             raise PositionOutOfRange(
                 f"variable {var!r} is bound to {value!r}, outside the structure"
             )

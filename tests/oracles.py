@@ -10,6 +10,7 @@ a direct flag transcript, and seeded random generators.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from nwtk.core import CALL, INTERNAL, RETURN
 from nwtk import logic
@@ -164,6 +165,22 @@ def distances_by_search(alphabet, tokens):
 # ---------------------------------------------------------------------------
 # generalized-run search (independent of the stack-machine route)
 
+@lru_cache(maxsize=8)
+def _transition_maps(b: Mnwa):
+    """``(q, a) -> q2`` and ``(p, q, a) -> q2`` read from the public rows of ``b``,
+    built once per machine since the tests query one machine many times.
+
+    A few entries serve every caller, which queries at most six machines in
+    turn; more would keep checked machines alive in long benchmark runs."""
+    d1: dict = {}
+    d2: dict = {}
+    for q, a, q2 in b.delta1:
+        d1.setdefault((q, a), []).append(q2)
+    for p, q, a, q2 in b.delta2:
+        d2.setdefault((p, q, a), []).append(q2)
+    return d1, d2
+
+
 def accepts_by_run_search(b: Mnwa, word) -> bool:
     """Forward search over run prefixes, merged on (current state, states
     at open matched calls); enforces the calling condition en route."""
@@ -171,8 +188,7 @@ def accepts_by_run_search(b: Mnwa, word) -> bool:
     mu = word.mu
     mu_inv = word.mu_inv
     calling = b.calling
-    d1 = b._d1
-    d2 = b._d2
+    d1, d2 = _transition_maps(b)
 
     # knowledge: set of (cur, opens) with opens a tuple of (call_pos, state)
     knowledge = set()
@@ -224,8 +240,7 @@ def find_accepting_run(b: Mnwa, word):
     mu = word.mu
     mu_inv = word.mu_inv
     calling = b.calling
-    d1 = b._d1
-    d2 = b._d2
+    d1, d2 = _transition_maps(b)
     n = len(labels)
     run = []
 

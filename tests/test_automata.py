@@ -103,6 +103,19 @@ class TestMvpa:
             Mvpa(S2, ("q",), ("$",), "#", ("q",), ("q",),
                  (("q", "a~", "$", "q"),), (), ())
 
+    @pytest.mark.parametrize(
+        "field, column", [(0, 0), (1, 0), (2, 0), (2, 3), (3, 0), (3, 3), (4, 0), (4, 2)]
+    )
+    def test_rejects_an_unknown_state_in_each_column(self, field, column):
+        # initial, final, delta_call, delta_return, delta_internal
+        fields = [["q"], ["q"], [("q", "a", "$", "q")], [("q", "a~", "$", "q")], [("q", "c", "q")]]
+        row = fields[field][0]
+        bad = "z" if field < 2 else row[:column] + ("z",) + row[column + 1 :]
+        fields[field] = [bad] + fields[field]
+        initial, final, *rows = fields
+        with pytest.raises(NwtkError, match="unknown state 'z'"):
+            Mvpa(S2C, ("q",), ("$",), "#", initial, final, *rows)
+
     def test_stack_heights_are_input_driven(self):
         rng = random.Random(7)
         for _ in range(10):
@@ -163,6 +176,25 @@ class TestRunCheck:
             if run is not None:
                 assert mnwa_run_check(b, w, run)
 
+    def test_calling_states_only_at_matched_calls(self):
+        rng = random.Random(37)
+        checked = 0
+        for _ in range(6):
+            b = random_mnwa(rng, S2, n_states=4, with_calling=True)
+            bad = min(b.calling)
+            for tokens in iter_token_tuples(S2, 5):
+                w = nested(S2, tokens)
+                run = find_accepting_run(b, w)
+                if run is None:
+                    continue
+                assert mnwa_run_check(b, w, run), tokens
+                for i in w.positions():
+                    if i not in w.mu:
+                        changed = run[: i - 1] + [bad] + run[i:]
+                        assert not mnwa_run_check(b, w, changed), (tokens, i)
+                        checked += 1
+        assert checked > 100
+
 
 class TestMnwaAcceptance:
     def test_one_block(self):
@@ -181,6 +213,19 @@ class TestMnwaAcceptance:
     def test_rejects_nonreturn_delta2(self):
         with pytest.raises(AlphabetMismatch):
             Mnwa(S2, ("q",), ("q",), ("q",), (), (("q", "q", "a", "q"),))
+
+    @pytest.mark.parametrize(
+        "field, column", [(0, 0), (0, 2), (1, 0), (1, 1), (1, 3), (2, 0), (3, 0), (4, 0)]
+    )
+    def test_rejects_an_unknown_state_in_each_column(self, field, column):
+        # delta1, delta2, initial, final, calling
+        fields = [[("q", "a", "q")], [("q", "q", "a~", "q")], ["q"], ["q"], ["q"]]
+        row = fields[field][0]
+        bad = "z" if field > 1 else row[:column] + ("z",) + row[column + 1 :]
+        fields[field] = [bad] + fields[field]
+        delta1, delta2, initial, final, calling = fields
+        with pytest.raises(NwtkError, match="unknown state 'z'"):
+            Mnwa(S2, ("q",), initial, final, delta1, delta2, calling)
 
     def test_agrees_with_run_search(self):
         b = loop_mnwa()

@@ -484,13 +484,13 @@ def test_compile_count_fuzz_keeps_the_exit_code_contract(expr, word, tmp_path_fa
 def assert_fuzz_contract(result, malformed, verdicts):
     """Exit 0, 1 or 2 and no traceback; 2 and one error line on malformed
     input, else one of ``verdicts`` (positive, negative) per word and exit 1
-    exactly when one is negative."""
+    exactly when one is negative; ``verdicts=None`` leaves the output unchecked."""
     assert "Traceback" not in result.stderr, result.stderr
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code in (0, 1, 2)
     if malformed:
         assert_input_error(result)
-    elif result.exit_code != 2:
+    elif verdicts and result.exit_code != 2:
         got = result.output.split()
         assert set(got) <= set(verdicts)
         assert (verdicts[1] in got) == (result.exit_code == 1)
@@ -671,6 +671,107 @@ def test_sphere_file_fuzz_keeps_the_exit_code_contract(case, tmp_path_factory):
         main, ["compile-count", str(root / "c.txt"), "--word", str(root / "w.txt")]
     )
     assert_fuzz_contract(result, broken, ("ACCEPT", "REJECT"))
+
+
+# per kind and transition field: the row width, the letter column, the state
+# columns, and a letter of the wrong class there (delta1 rows take every
+# class, so a letter outside the alphabet)
+AUTOMATON_FIELDS = {
+    "mvpa": {
+        "delta_call": (4, 1, (0, 3), "a~"),
+        "delta_return": (4, 1, (0, 3), "b"),
+        "delta_internal": (3, 1, (0, 2), "a"),
+    },
+    "mnwa": {"delta1": (3, 1, (0, 2), "z"), "delta2": (4, 2, (0, 1, 3), "b")},
+}
+
+
+def _automaton_row(draw, data):
+    """A row of one transition field, added if the field has none (an S2
+    machine has no internal rows), and the field's entry."""
+    field = draw(st.sampled_from(sorted(AUTOMATON_FIELDS[data["kind"]])))
+    width, letter, states, wrong = entry = AUTOMATON_FIELDS[data["kind"]][field]
+    rows = data[field]
+    if not rows:
+        rows.append([data["states"][0]] * width)
+        rows[0][letter] = wrong
+    return draw(st.sampled_from(rows)), entry
+
+
+def _wrong_width(draw, data):
+    row, (width, _, _, _) = _automaton_row(draw, data)
+    if draw(st.booleans()):
+        row[:] = (row + row)[: width + 1]
+    else:
+        del row[width - 1 :]
+
+
+def _wrong_class(draw, data):
+    row, (_, letter, _, wrong) = _automaton_row(draw, data)
+    row[letter] = wrong
+
+
+def _unknown_state(draw, data):
+    row, (_, _, states, _) = _automaton_row(draw, data)
+    row[draw(st.sampled_from(states))] = "zz"
+
+
+def _bool_or_float_name(draw, data):
+    name = draw(st.sampled_from((True, False, 1.5, 0.0)))
+    if draw(st.booleans()):
+        data["states"].append(name)
+    else:
+        row, (_, _, states, _) = _automaton_row(draw, data)
+        row[draw(st.sampled_from(states))] = name
+
+
+def _dropped_field(draw, data):
+    required = [f for f in data if f != "calling"]
+    del data[draw(st.sampled_from(required))]
+
+
+# in the order applied: a width edit last, so the others find every column
+AUTOMATON_BREAKS = (_wrong_class, _unknown_state, _bool_or_float_name, _wrong_width)
+
+
+@st.composite
+def mutated_automaton(draw):
+    """A seed machine's JSON after a few edits, and whether one of them
+    always makes it invalid.  Dropped rows and final states, which keep it
+    valid, come first, and a dropped field last, so every breaking edit
+    finds the fields it edits; none undoes another."""
+    data = automaton_to_json(draw(st.sampled_from((loop_mnwa, loop_mvpa)))())
+    fields = sorted(AUTOMATON_FIELDS[data["kind"]])
+    for _ in range(draw(st.integers(0, 2))):
+        rows = data[draw(st.sampled_from(fields))]
+        if rows:
+            del rows[draw(st.integers(0, len(rows) - 1))]
+    if draw(st.booleans()):
+        data["final"] = []
+    breaks = draw(st.lists(st.sampled_from(AUTOMATON_BREAKS), max_size=2))
+    for edit in sorted(breaks, key=AUTOMATON_BREAKS.index):
+        edit(draw, data)
+    if draw(st.booleans()):
+        _dropped_field(draw, data)
+        breaks.append(_dropped_field)
+    return data, bool(breaks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=mutated_automaton())
+def test_automaton_file_fuzz_keeps_the_exit_code_contract(case, tmp_path_factory):
+    data, broken = case
+    root = tmp_path_factory.getbasetemp() / "automaton-fuzz"
+    root.mkdir(exist_ok=True)
+    machine = write_json(root, "m.json", data)
+    (root / "w.txt").write_text("a b a~ a~ b~ b~\n" + WORD_SEEDS[1], encoding="utf-8")
+    result = runner.invoke(main, ["simulate", machine, str(root / "w.txt")])
+    assert_fuzz_contract(result, broken, ("ACCEPT", "REJECT"))
+    result = runner.invoke(main, ["convert", machine])
+    assert_fuzz_contract(result, broken, None)
+    if not broken:
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["kind"] != data["kind"]
 
 
 class TestGrid:

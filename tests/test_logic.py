@@ -87,7 +87,16 @@ class TestEval:
 
     def test_env_values_lie_in_the_structure(self):
         w = nested(S2, ("a", "b"))
-        for env in ({"x": 0}, {"x": 3}, {"x": 2, "X": frozenset({1, 3})}, {"x": 1, "y": "a"}):
+        for env in (
+            {"x": 0},
+            {"x": 3},
+            {"x": 2, "X": frozenset({1, 3})},
+            {"x": 1, "y": "a"},
+            # values equal to a position but of another type
+            {"x": True},
+            {"x": 1.0},
+            {"x": 2, "X": frozenset({1.0})},
+        ):
             with pytest.raises(PositionOutOfRange):
                 logic.eval(w, Label("x", "b"), env)
         assert logic.eval(w, In("x", "X"), {"x": 2, "X": {1, 2}})
