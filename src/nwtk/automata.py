@@ -276,6 +276,8 @@ def mnwa_run_check(b: Mnwa, word, run) -> bool:
         raise AlphabetMismatch("word and automaton alphabets differ")
     run = list(run)
     n = len(word)
+    if not n:
+        raise EmptyWord("automata accept non-empty words only")
     if len(run) != n:
         raise LengthMismatch(f"run has {len(run)} states for {n} positions")
     mu = word._mu

@@ -220,33 +220,28 @@ def is_circular(w, bound: int) -> bool:
     return circular_witness(w, bound) is not None
 
 
+# per direction: its drawing move, the previous direction that turns it,
+# and the turned move (jump1 and back1 never turn)
+_F_MOVES = {
+    "jump1": ("fwd2", None, "fwd2"),
+    "back1": ("bwd2", None, "bwd2"),
+    "fwd": ("fwd2", "back1", "ccw"),
+    "bwd": ("bwd2", "jump1", "cw"),
+    "jump2": ("fwd2", "bwd", "ccw"),
+    "back2": ("bwd2", "fwd", "cw"),
+}
+
+
 def f_map(w) -> tuple:
     """Rewrite a direction string over the four drawing moves fwd2, bwd2,
     cw, ccw, reading left to right with one-letter lookbehind."""
     out = []
     prev = None
     for e in w:
-        kind, stack = _move(e)
-        if (kind, stack) not in (
-            ("fwd", 0),
-            ("bwd", 0),
-            ("jump", 1),
-            ("jump", 2),
-            ("back", 1),
-            ("back", 2),
-        ):
+        _move(e)
+        if e not in _F_MOVES:
             raise InvalidDirection(f"{e!r} is outside the two-stack direction set")
-        if e == "jump1":
-            out.append("fwd2")
-        elif e == "back1":
-            out.append("bwd2")
-        elif e == "fwd":
-            out.append("ccw" if prev == "back1" else "fwd2")
-        elif e == "bwd":
-            out.append("cw" if prev == "jump1" else "bwd2")
-        elif e == "jump2":
-            out.append("ccw" if prev == "bwd" else "fwd2")
-        else:
-            out.append("cw" if prev == "fwd" else "bwd2")
+        move, turner, turned = _F_MOVES[e]
+        out.append(turned if prev == turner else move)
         prev = e
     return tuple(out)

@@ -9,6 +9,10 @@ defining equivalence of the reduction mechanically from one table of
 checks, quantifying over all cell tuples and evaluating both sides with the
 formula evaluator; each formula is compiled once, outside the loop over its
 tuples.
+
+``image_membership`` decides the image of the encoding by re-encoding;
+``image_property_formulas``, its logical characterization, is checked
+against it in the tests.
 """
 
 from __future__ import annotations
@@ -105,32 +109,27 @@ class GridEncoding:
     chi_bar: dict
 
 
+def _tokens(n: int, m: int) -> tuple:
+    """The labels of the (n, m) grid's word: a^n, then (a~ b)^n (b~ a)^n
+    repeated (m - 1) // 2 times, then a~^n when m is odd and (a~ b)^n b~^n
+    when it is even."""
+    ab = ("a~", "b") * n
+    ba = ("b~", "a") * n
+    last = ("a~",) * n if m % 2 else ab + ("b~",) * n
+    return ("a",) * n + (ab + ba) * ((m - 1) // 2) + last
+
+
 def encode(n: int, m: int) -> GridEncoding:
     grid = Grid(n, m)
-    tokens: list[str] = ["a"] * n
-    ab = ["a~", "b"] * n
-    ba = ["b~", "a"] * n
-    if m % 2 == 1:
-        for _ in range((m - 1) // 2):
-            tokens += ab + ba
-        tokens += ["a~"] * n
-    else:
-        for _ in range(m // 2 - 1):
-            tokens += ab + ba
-        tokens += ab + ["b~"] * n
-    word = nested(GRID_ALPHABET, tokens)
-
-    pos_a = [p for p in word.positions() if tokens[p - 1] == "a"]
-    pos_b = [p for p in word.positions() if tokens[p - 1] == "b"]
-    chi = {}
-    for j in range(1, m + 1):
-        for i in range(1, n + 1):
-            if j % 2 == 1:
-                chi[(i, j)] = pos_a[n * ((j + 1) // 2 - 1) + i - 1]
-            else:
-                chi[(i, j)] = pos_b[n * (j // 2 - 1) + (n - i)]
-    chi_bar = {}
+    word = nested(GRID_ALPHABET, _tokens(n, m))
     mu = word.mu
+    calls = sorted(mu)  # column by column, odd ones top down, even ones bottom up
+    chi = {
+        (i, j): calls[n * (j - 1) + (i - 1 if j % 2 else n - i)]
+        for j in range(1, m + 1)
+        for i in range(1, n + 1)
+    }
+    chi_bar = {}
     for u, p in chi.items():
         chi_bar[(1, u)] = p
         chi_bar[(2, u)] = mu[p]
@@ -271,7 +270,7 @@ def verify_reduction(n: int, m: int, formulas=None) -> ReductionReport:
     checked += 1
 
     pairing = {(chi_bar[(1, u)], chi_bar[(2, u)]) for u in cells}
-    psi = _bind(word, fs["psi"], ("x1", "x2"))
+    psi = _bind(word, fs["psi"], {"x1": False, "x2": False})
     for p in word.positions():
         for q in word.positions():
             lhs = psi({"x1": p, "x2": q})
@@ -304,8 +303,8 @@ def verify_reduction(n: int, m: int, formulas=None) -> ReductionReport:
     ]
 
     for fields, grid_phi, word_phi, maps in checks:
-        grid_side = _bind(grid, grid_phi, ("u1", "u2")[: len(maps)])
-        word_side = _bind(word, word_phi, ("x1", "x2")[: len(maps)])
+        grid_side = _bind(grid, grid_phi, dict.fromkeys(("u1", "u2")[: len(maps)], False))
+        word_side = _bind(word, word_phi, dict.fromkeys(("x1", "x2")[: len(maps)], False))
         if len(maps) == 1:
             (to_word,) = maps
             for u in cells:
@@ -329,78 +328,24 @@ def verify_reduction(n: int, m: int, formulas=None) -> ReductionReport:
 # ---------------------------------------------------------------------------
 # the image of the encoding
 
-def _shape_ok(tokens) -> bool:
-    """Scan for a+ [(a~ b)+ (b~ a)+]* a~+  or  a+ [(a~ b)+ (b~ a)+]* (a~ b)+ b~+."""
-    n = len(tokens)
-    p = 0
-    while p < n and tokens[p] == "a":
-        p += 1
-    if p == 0:
-        return False
-    while True:
-        if p == n:
-            return False
-        if all(t == "a~" for t in tokens[p:]):
-            return True
-        # (a~ b)+, maximal
-        if tokens[p] != "a~":
-            return False
-        while p < n and tokens[p] == "a~":
-            if p + 1 >= n or tokens[p + 1] != "b":
-                return False
-            p += 2
-        if p == n:
-            return False
-        if all(t == "b~" for t in tokens[p:]):
-            return True
-        # (b~ a)+, maximal
-        if tokens[p] != "b~":
-            return False
-        while p < n and tokens[p] == "b~":
-            if p + 1 >= n or tokens[p + 1] != "a":
-                return False
-            p += 2
-
-
-def _offsets_ok(word) -> bool:
-    """The five offset implications over pairs of equally labeled matched calls."""
-    labels = word.labels
-    pairs = sorted(word.mu.items())
-    for x1, y1 in pairs:
-        lx = labels[x1 - 1]
-        ly = labels[y1 - 1]
-        for x2, y2 in pairs:
-            if labels[x2 - 1] != lx:
-                continue
-            dx = x2 - x1
-            dy = y1 - y2
-            if lx == "a" and dx == 1 and dy not in (1, 2):
-                return False
-            if ly == "a~" and dy == 1 and dx not in (1, 2):
-                return False
-            if ly == "b~" and dy == 1 and dx != 2:
-                return False
-            if dx == 2 and labels[x1] != lx and dy not in (1, 2):
-                return False
-            if dy == 2 and labels[y2] != labels[y2 - 1] and dx not in (1, 2):
-                return False
-    return True
-
-
 def image_membership(word: NestedWord) -> bool:
-    """Whether the word encodes some grid: the block shape, a total
-    matching, and the five offset implications together."""
+    """Whether the word encodes some grid.  The (n, m) grid's word starts
+    with exactly n calls a, then a~, and has 2nm positions, so the word is
+    a member exactly when it is the encoding of the grid it names."""
     if word.alphabet != GRID_ALPHABET:
         raise AlphabetMismatch("image membership is defined over the grid alphabet")
-    return (
-        _shape_ok(word.labels)
-        and not word.pending
-        and _offsets_ok(word)
-    )
+    labels = word.labels
+    n = next((i for i, t in enumerate(labels) if t != "a"), len(labels))
+    if n == 0 or len(labels) % (2 * n):
+        return False
+    return labels == _tokens(n, len(labels) // (2 * n))
 
 
 def image_property_formulas() -> dict:
-    """The logical forms of the matching and offset parts, for cross-checks."""
+    """The first-order part of the image's definition: ``total`` says every
+    position is matched, and ``offsets`` states five implications over pairs
+    of equally labeled matched calls.  With the block shape of the labels,
+    a regular condition, they define the set ``image_membership`` decides."""
     total = Forall("x", ExistsFO("y", Or(Match("x", "y"), Match("y", "x"))))
 
     counter = [0]

@@ -136,17 +136,22 @@ def Forall(var: str, body):
 
 
 def free_vars(formula) -> frozenset:
-    return _compile(formula, None, None, None)[0]
+    return _compile(formula, (None, None, None), {})[0]
 
 
 _UNSET = object()
 
 
-def _compile(f, has, universe, so_limit):
-    """Walk ``f`` once against a structure's ``has``, its universe list and
-    the set quantification cap.  Returns the free variables of ``f`` and a
-    closure from an environment dict to the truth value.  No closure
-    touches the structure until it is applied.
+def _compile(f, structure, sorts):
+    """Walk ``f`` once against ``structure``: a structure's ``has``, its
+    universe list and the set quantification cap.  Returns the free
+    variables of ``f`` and a closure from an environment dict to the truth
+    value.  No closure touches the structure until it is applied.
+
+    ``sorts`` maps each variable bound around ``f`` or by the environment to
+    True for a set, False for a position; a use at the other sort is
+    rejected here, as evaluation would hand a set to a relation or look
+    inside a position.
 
     A closure evaluates lazily, left to right: an unknown relation or an
     oversized set quantifier raises only when evaluation reaches it.
@@ -155,6 +160,9 @@ def _compile(f, has, universe, so_limit):
     """
     if isinstance(f, Rel):
         name, args = f.name, f.args
+        for a in args:
+            _check_sort(name, sorts, a, False)
+        has = structure[0]
         if len(args) == 1:
             (a,) = args
             return frozenset(args), lambda env: has(name, (env[a],))
@@ -164,39 +172,48 @@ def _compile(f, has, universe, so_limit):
         return frozenset(args), lambda env: has(name, tuple([env[a] for a in args]))
     if isinstance(f, Eq):
         x, y = f.x, f.y
+        _check_sort("eq", sorts, x, False)
+        _check_sort("eq", sorts, y, False)
         return frozenset((x, y)), lambda env: env[x] == env[y]
     if isinstance(f, In):
         x, X = f.x, f.X
+        _check_sort("in", sorts, x, False)
+        _check_sort("in", sorts, X, True)
         return frozenset((x, X)), lambda env: env[x] in env[X]
-    structure = has, universe, so_limit
     if isinstance(f, Not):
         g = f.body
         if isinstance(g, Or) and isinstance(g.left, Not) and isinstance(g.right, Not):
             # And(left, right), as one closure instead of four
-            free_l, left = _compile(g.left.body, *structure)
-            free_r, right = _compile(g.right.body, *structure)
+            free_l, left = _compile(g.left.body, structure, sorts)
+            free_r, right = _compile(g.right.body, structure, sorts)
             return free_l | free_r, lambda env: left(env) and right(env)
         if isinstance(g, ExistsFO) and isinstance(g.body, Not):
             # Forall(var, body), stopping at the first counterexample
-            return _quantifier(g.var, g.body.body, structure, universal=True)
-        free, body = _compile(g, *structure)
+            return _quantifier(g.var, g.body.body, structure, sorts, universal=True)
+        free, body = _compile(g, structure, sorts)
         return free, lambda env: not body(env)
     if isinstance(f, Or):
-        free_l, left = _compile(f.left, *structure)
-        free_r, right = _compile(f.right, *structure)
+        free_l, left = _compile(f.left, structure, sorts)
+        free_r, right = _compile(f.right, structure, sorts)
         return free_l | free_r, lambda env: left(env) or right(env)
     if isinstance(f, ExistsFO):
-        return _quantifier(f.var, f.body, structure)
+        return _quantifier(f.var, f.body, structure, sorts)
     if isinstance(f, ExistsSO):
-        return _quantifier(f.var, f.body, structure, second_order=True)
+        return _quantifier(f.var, f.body, structure, sorts, second_order=True)
     raise FormulaParseError(f"not a formula node: {f!r}")
 
 
-def _quantifier(var, body, structure, second_order=False, universal=False):
+def _check_sort(head, sorts, var, is_set):
+    if sorts.get(var, is_set) != is_set:
+        used, bound = ("a set", "a position") if is_set else ("a position", "a set")
+        raise FormulaParseError(f"{head} uses {var!r} as {used}, but it is bound as {bound}")
+
+
+def _quantifier(var, body, structure, sorts, second_order=False, universal=False):
     """Compile a quantifier over ``var``: existential, or universal with
     ``body`` the formula that must hold for every value.  Either stops at
     the first value that decides it."""
-    free, run = _compile(body, *structure)
+    free, run = _compile(body, structure, {**sorts, var: second_order})
     _, universe, so_limit = structure
     values = _subsets(universe, so_limit) if second_order else lambda: universe
 
@@ -235,12 +252,13 @@ def _subsets(universe, so_limit):
     return values
 
 
-def _bind(structure, formula, names, so_limit: int = DEFAULT_SO_LIMIT):
+def _bind(structure, formula, sorts, so_limit: int = DEFAULT_SO_LIMIT):
     """Compile ``formula`` against ``structure``.  The closure takes an
-    environment dict with the variables ``names``, which must cover the
-    formula's free variables."""
-    free, run = _compile(formula, structure.has, list(structure.universe()), so_limit)
-    missing = free.difference(names)
+    environment dict with the variables of ``sorts``, which maps each to
+    True for a set, False for a position, and must cover the formula's
+    free variables."""
+    free, run = _compile(formula, (structure.has, list(structure.universe()), so_limit), sorts)
+    missing = free.difference(sorts)
     if missing:
         raise UnboundVariable(f"unbound variable(s): {', '.join(sorted(missing))}")
     return run
@@ -250,22 +268,26 @@ def eval(structure, formula, env=None, so_limit: int = DEFAULT_SO_LIMIT) -> bool
     """Standard satisfaction; ``env`` must cover the free variables, each
     bound to an element of the structure or a set of elements."""
     env = dict(env) if env else {}
-    run = _bind(structure, formula, env, so_limit)
+    sorts = {var: isinstance(value, (set, frozenset)) for var, value in env.items()}
+    run = _bind(structure, formula, sorts, so_limit)
     universe = structure.universe()
-    # an element of another type may still compare equal to one (True == 1.0 == 1)
-    sort = type(next(iter(universe), None))
+    # a value of another type may equal an element (True == 1.0 == 1), also inside a cell
+    types = _types(next(iter(universe), None))
 
     def inside(value):
-        return type(value) is sort and value in universe
+        return _types(value) == types and value in universe
 
     for var, value in env.items():
-        if inside(value):
-            continue
-        if not (isinstance(value, (set, frozenset)) and all(map(inside, value))):
+        if not (all(map(inside, value)) if sorts[var] else inside(value)):
             raise PositionOutOfRange(
                 f"variable {var!r} is bound to {value!r}, outside the structure"
             )
     return run(env)
+
+
+def _types(value):
+    """The type of a value, with the types of its components for a tuple."""
+    return (tuple, *map(type, value)) if type(value) is tuple else type(value)
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +330,8 @@ def _read_sexpr(tokens: list[str], pos: int):
         out.append(node)
 
 
-def _build(node, scope):
-    """The formula of a parsed s-expression.  ``scope`` maps each variable
-    bound around ``node`` to True for a set variable, False for a position;
-    a bound variable used at the other sort is rejected here, since
-    evaluation would hand a set to a relation or look inside a position."""
+def _build(node):
+    """The formula of a parsed s-expression, before its sorts are checked."""
     if isinstance(node, str):
         raise FormulaParseError(f"bare token {node!r} is not a formula")
     if not node or not isinstance(node[0], str):
@@ -329,25 +348,20 @@ def _build(node, scope):
                 raise FormulaParseError(f"{head} expects variable/symbol names")
         return rest
 
-    def sort(var, is_set):
-        if scope.get(var, is_set) != is_set:
-            used, bound = ("a set", "a position") if is_set else ("a position", "a set")
-            raise FormulaParseError(f"{head} uses {var!r} as {used}, but it is bound as {bound}")
-
     if head == "not":
         arity(1)
-        return Not(_build(rest[0], scope))
+        return Not(_build(rest[0]))
     if head in ("or", "and"):
-        return _fold(head, rest, Or if head == "or" else And, lambda n: _build(n, scope))
+        return _fold(head, rest, Or if head == "or" else And, _build)
     if head == "implies":
         arity(2)
-        return Implies(_build(rest[0], scope), _build(rest[1], scope))
+        return Implies(_build(rest[0]), _build(rest[1]))
     if head in ("exists", "forall", "exists-set"):
         arity(2)
         var = rest[0]
         if not isinstance(var, str):
             raise FormulaParseError(f"{head} binds a single variable name")
-        body = _build(rest[1], {**scope, var: head == "exists-set"})
+        body = _build(rest[1])
         if head == "exists":
             return ExistsFO(var, body)
         if head == "forall":
@@ -357,14 +371,9 @@ def _build(node, scope):
         arity(2)
     names(rest)
     if head == "in":
-        sort(rest[0], False)
-        sort(rest[1], True)
         return In(rest[0], rest[1])
     if head == "label":
-        sort(rest[0], False)
         return Label(rest[0], rest[1])
-    for var in rest:
-        sort(var, False)
     if head == "eq":
         return Eq(rest[0], rest[1])
     return Rel(head, tuple(rest))
@@ -373,7 +382,9 @@ def _build(node, scope):
 def parse_formula(text: str):
     """Parse one parenthesized prefix formula, e.g.
     (forall x (implies (and (label x a) (match x y)) (label y b)))."""
-    return _build(_read(text, "formula"), {})
+    formula = _build(_read(text, "formula"))
+    free_vars(formula)  # the walk that checks sorts
+    return formula
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from nwtk.automata import (
     mvpa_to_mnwa,
     product,
 )
-from nwtk.core import CALL, iter_token_tuples, nested
+from nwtk.core import CALL, NestedWord, iter_token_tuples, nested
 from nwtk.errors import (
     AlphabetMismatch,
     CallingStatesPresent,
@@ -167,6 +167,12 @@ class TestRunCheck:
         w = nested(S2, ACCEPT)
         with pytest.raises(LengthMismatch):
             mnwa_run_check(loop_mnwa(), w, ["q2", "q3"])
+
+    def test_empty_word(self):
+        # built directly, since nested refuses empty input
+        empty = NestedWord(S2, (), {}, {}, ())
+        with pytest.raises(EmptyWord):
+            mnwa_run_check(loop_mnwa(), empty, [])
 
     def test_found_runs_pass_the_checker(self):
         b = loop_mnwa()

@@ -483,15 +483,16 @@ def test_compile_count_fuzz_keeps_the_exit_code_contract(expr, word, tmp_path_fa
 
 def assert_fuzz_contract(result, malformed, verdicts):
     """Exit 0, 1 or 2 and no traceback; 2 and one error line on malformed
-    input, else one of ``verdicts`` (positive, negative) per word and exit 1
-    exactly when one is negative; ``verdicts=None`` leaves the output unchecked."""
+    input, else one of ``verdicts`` (positive, negative) per output line and
+    exit 1 exactly when one is negative; ``verdicts=None`` leaves the output
+    unchecked."""
     assert "Traceback" not in result.stderr, result.stderr
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code in (0, 1, 2)
     if malformed:
         assert_input_error(result)
     elif verdicts and result.exit_code != 2:
-        got = result.output.split()
+        got = result.output.splitlines()
         assert set(got) <= set(verdicts)
         assert (verdicts[1] in got) == (result.exit_code == 1)
 
@@ -772,6 +773,22 @@ def test_automaton_file_fuzz_keeps_the_exit_code_contract(case, tmp_path_factory
     if not broken:
         assert result.exit_code == 0
         assert json.loads(result.stdout)["kind"] != data["kind"]
+
+
+GRID_SEEDS = ("a a~", "a a a~ b a~ b b~ a b~ a a~ a~\na b a~ b~", GRID34)
+
+
+@settings(max_examples=300, deadline=None)
+@given(word=mutated(GRID_SEEDS, WORD_TOKENS))
+def test_grid_member_fuzz_keeps_the_exit_code_contract(word, tmp_path_factory):
+    root = tmp_path_factory.getbasetemp() / "grid-fuzz"
+    root.mkdir(exist_ok=True)
+    (root / "w.txt").write_text(" ".join(word), encoding="utf-8")
+    result = runner.invoke(main, ["grid", "member", str(root / "w.txt")])
+    malformed = "z" in word
+    assert_fuzz_contract(result, malformed, ("MEMBER", "NOT MEMBER"))
+    if not malformed:
+        assert result.exit_code in (0, 1)
 
 
 class TestGrid:

@@ -206,13 +206,17 @@ class TestImage:
                 assert not image_membership(nested(GRID_ALPHABET, mutant))
 
     def test_against_logical_encoding(self):
+        # the block shape and the two formulas, which share no code with
+        # image_membership, on every word to length 8 and every encoding
+        # of at most 18 positions
         fs = image_property_formulas()
         words = [
             nested(GRID_ALPHABET, tokens)
-            for tokens in iter_token_tuples(GRID_ALPHABET, 4)
+            for tokens in iter_token_tuples(GRID_ALPHABET, 8)
         ]
-        words.append(encode(2, 2).word)
-        words.append(encode(1, 3).word)
+        words += [
+            encode(n, m).word for n in range(1, 10) for m in range(1, 10) if n * m <= 9
+        ]
         for w in words:
             logical = (
                 shape_matches(w.labels)

@@ -101,8 +101,11 @@ class TestEval:
                 logic.eval(w, Label("x", "b"), env)
         assert logic.eval(w, In("x", "X"), {"x": 2, "X": {1, 2}})
         assert not logic.eval(w, In("x", "X"), {"x": 2, "X": frozenset()})
-        with pytest.raises(PositionOutOfRange):
-            logic.eval(Grid(2, 2), Rel("P_a", ("u",)), {"u": (3, 1)})
+        # cells whose components equal a cell's but are of another type
+        for cell in ((3, 1), (1.0, 1), (True, 1)):
+            with pytest.raises(PositionOutOfRange):
+                logic.eval(Grid(2, 2), Rel("P_a", ("u",)), {"u": cell})
+        assert logic.eval(Grid(2, 2), Rel("P_a", ("u",)), {"u": (1, 1)})
 
     def test_second_order_cap(self):
         w = nested(S2, ("a",) * 4)
@@ -124,6 +127,30 @@ class TestEval:
                 logic.eval(w, f, env={"x": 1})
         with pytest.raises(FormulaParseError):
             free_vars(42)
+
+    def test_ill_sorted_formula(self):
+        w = nested(S2, ("a", "b"))
+        # a bound variable used at the other sort, in a hand-built formula
+        for structure, f in (
+            (w, ExistsSO("X", Label("X", "a"))),
+            (w, ExistsFO("x", In("x", "x"))),
+            (w, ExistsFO("x", ExistsSO("X", In("X", "X")))),
+            (w, ExistsSO("X", Eq("X", "X"))),
+            (Grid(2, 2), ExistsSO("X", Rel("P_a", ("X",)))),
+        ):
+            with pytest.raises(FormulaParseError):
+                logic.eval(structure, f)
+        # a free variable used at the other sort than its value's
+        for f, env in (
+            (Label("X", "a"), {"X": frozenset({1})}),
+            (In("x", "y"), {"x": 1, "y": 2}),
+            (Or(Label("x", "a"), In("y", "x")), {"x": 1, "y": 1}),
+        ):
+            with pytest.raises(FormulaParseError):
+                logic.eval(w, f, env)
+        # a rebinding at the other sort is fine inside its own scope
+        assert logic.eval(w, ExistsFO("x", And(Label("x", "a"), ExistsSO("x", In("y", "x")))),
+                          env={"y": 1})
 
     def test_evaluation_is_lazy_left_to_right(self):
         w = nested(S2, ("a",) * 4)
