@@ -177,8 +177,10 @@ def spheres_cmd(radius, max_len, word_file, position, alphabet_path, dot):
     if word_file is not None:
         if position is None:
             raise click.UsageError("--word needs --at")
-        word = core.read_word_file(word_file, alphabet)[0]
-        s = spheres.sphere(word, position, radius)
+        words = core.read_word_file(word_file, alphabet)
+        if not words:
+            raise NwtkError(f"{word_file} holds no word")
+        s = spheres.sphere(words[0], position, radius)
         click.echo(spheres.sphere_to_dot(s) if dot else _sphere_json_line(s))
         return
     if max_len is None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import RETURN, _bfs
+from .core import RETURN, _bfs, _immutable
 from .errors import InvalidState, LengthMismatch
 from .spheres import Sphere, _cached, _keys, sphere
 
@@ -41,12 +41,19 @@ class ExtendedSphere:
     __slots__ = ("core", "active", "color", "key", "so", "si", "mo", "mi", "dist")
 
     def __init__(self, core: Sphere, active, color: int):
-        self.core = core
-        self.active = active
-        self.color = color
-        self.key = (core.key, core.index_of[active], color)
-        self.so, self.si, self.mo, self.mi = core.adj[active]
-        self.dist = core.dist[active]
+        init = object.__setattr__
+        init(self, "core", core)
+        init(self, "active", active)
+        init(self, "color", color)
+        init(self, "key", (core.key, core.index_of[active], color))
+        so, si, mo, mi = core.adj[active]
+        init(self, "so", so)
+        init(self, "si", si)
+        init(self, "mo", mo)
+        init(self, "mi", mi)
+        init(self, "dist", core.dist[active])
+
+    __setattr__ = __delattr__ = _immutable
 
     def key_at(self, node):
         """Key of the same sphere re-pointed to another active node."""
@@ -82,15 +89,18 @@ class SphereState:
                 calling = True
             elif m.so is not None:
                 final = False
-        self.members = members
-        self.key = frozenset(by_key)
-        self.core_groups = {k: tuple(v) for k, v in groups.items()}
-        self.label = labels.pop() if len(labels) == 1 else None
-        self.valid = not members or (
-            centered == 1 and self.label is not None and len(groups) == len(members)
-        )
-        self.final = final
-        self.calling = calling
+        label = labels.pop() if len(labels) == 1 else None
+        valid = centered == 1 and label is not None and len(groups) == len(members)
+        init = object.__setattr__
+        init(self, "members", members)
+        init(self, "key", frozenset(by_key))
+        init(self, "core_groups", {k: tuple(v) for k, v in groups.items()})
+        init(self, "label", label)
+        init(self, "valid", not members or valid)
+        init(self, "final", final)
+        init(self, "calling", calling)
+
+    __setattr__ = __delattr__ = _immutable
 
     def __eq__(self, other):
         return isinstance(other, SphereState) and self.key == other.key

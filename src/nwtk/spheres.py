@@ -21,32 +21,31 @@ the search over the induced sphere.  The canonical key of a sphere is
 therefore read off one bounded pass over the word, without building the
 sphere first.
 
-The same pass builds the sphere itself.  ``Sphere(...)`` checks its input
-graph and traverses its own table, because a caller may hand it any
-graph; ``sphere`` skips those checks and that second traversal, since a
-ball cut from a ``NestedWord`` satisfies them by construction: it is
-connected and lies within radius r (every node was reached from the
+That pass leaves one record per ball: its nodes in visiting order
+(``index_of``), their distances and its key.  One function, ``_ball``,
+traverses and encodes a word's ball and a ``Sphere`` alike.
+``sphere`` builds its sphere from the record, without the checks and the
+second traversal that ``Sphere(...)`` runs on a graph from a caller,
+since a ball cut from a ``NestedWord`` satisfies them by construction: it
+is connected and lies within radius r (every node was reached from the
 center in at most r steps), its edges join two nodes of the ball (the
 word's table restricted to the ball keeps only visited neighbours), and
 it has at most one edge of each kind per node (a word has one successor,
-one predecessor and at most one matching partner per position).  The
-visiting order and distances of that pass are the ones the sphere's own
-traversal would produce, so both paths end in one field layout,
-``Sphere._fill``.
+one predecessor and at most one matching partner per position).
 
-Keys are computed once per word and radius.  A one-word cache holds the
-most recent word (matched by identity; words are immutable), its
-neighbour table and, per radius, the keys of its positions, each filled
-in on first use by that bounded pass.  The triple (word, table, keys) is
-published as one tuple, so threads working on different words only evict
-each other and recompute.
+Each ball is traversed once per word, position and radius.  A one-word
+cache holds the most recent word (matched by identity; words are
+immutable), its neighbour table and labels and, per radius, the records
+of its positions, each filled in on first use, and their key list once
+all are.  The word's entry and each record are written as one tuple, so
+threads working on different words only evict each other and recompute.
 """
 
 from __future__ import annotations
 
 import json
 
-from .core import _bfs, _word_adj, iter_token_tuples, nested
+from .core import _bfs, _immutable, _word_adj, iter_token_tuples, nested
 from .errors import InvalidSphere, PositionOutOfRange, RadiusMismatch
 
 __all__ = [
@@ -124,31 +123,31 @@ class Sphere:
         if labels.keys() != slots.keys():
             raise InvalidSphere("labels must cover exactly the node set")
         adj = {v: tuple(a) for v, a in slots.items()}
+        stack_of = {i: s for i, _, s in mu}
         # canonical traversal; doubles as the connectivity and radius check
-        order, dist = _bfs(center, adj, len(nodes))
-        if len(order) != len(nodes):
+        index_of, dist, key = _ball(center, adj, stack_of, labels, radius, len(nodes))
+        if len(index_of) != len(nodes):
             raise InvalidSphere("sphere is not connected to its center")
-        if dist[order[-1]] > radius:
+        if max(dist.values()) > radius:
             raise InvalidSphere("a node lies farther from the center than the radius")
-        self._fill(nodes, labels, succ, mu, center, radius, adj, order, dist)
+        self._fill(nodes, labels, succ, mu, center, radius, adj, index_of, dist, key)
 
-    def _fill(self, nodes, labels, succ, mu, center, radius, adj, order, dist):
-        """Set every field from a checked graph and its canonical traversal."""
-        index_of = dict(zip(order, range(len(order))))
-        edges = sorted(
-            [(index_of[i], index_of[j], 0) for i, j in succ]
-            + [(index_of[i], index_of[j], s) for i, j, s in mu]
-        )
-        self.nodes = nodes
-        self.labels = labels
-        self.succ = succ
-        self.mu = mu
-        self.center = center
-        self.radius = radius
-        self.adj = adj
-        self.index_of = index_of
-        self.dist = dist
-        self.key = (radius, tuple([labels[v] for v in order]), tuple(edges))
+    def _fill(self, nodes, labels, succ, mu, center, radius, adj, index_of, dist, key):
+        """Set every field from a checked graph and its ball record; returns the sphere."""
+        init = object.__setattr__
+        init(self, "nodes", nodes)
+        init(self, "labels", labels)
+        init(self, "succ", succ)
+        init(self, "mu", mu)
+        init(self, "center", center)
+        init(self, "radius", radius)
+        init(self, "adj", adj)
+        init(self, "index_of", index_of)
+        init(self, "dist", dist)
+        init(self, "key", key)
+        return self
+
+    __setattr__ = __delattr__ = _immutable
 
     def size(self) -> int:
         return len(self.nodes)
@@ -173,33 +172,14 @@ def _check_center(word, i: int, r: int):
         raise InvalidSphere("radius must be non-negative")
 
 
-def sphere(word, i: int, r: int) -> Sphere:
-    """Extract the radius-r sphere of a word around position i.
-
-    Every field comes from one bounded pass over the word; the module
-    docstring says why the constructor's graph checks hold here.
-    """
-    _check_center(word, i, r)
-    word_adj = _cached(word, r)[0]
-    order, dist = _bfs(i, word_adj, r)
-    _check_size(len(order), r)
-    nodes = tuple(sorted(order))
-    adj = {v: tuple([u if u in dist else None for u in word_adj[v]]) for v in nodes}
-    labels = {v: word.labels[v - 1] for v in order}
-    succ = tuple([(v, adj[v][0]) for v in nodes if adj[v][0] is not None])
-    stack_of = word._stack_of
-    mu = tuple([(v, adj[v][2], stack_of[v]) for v in nodes if adj[v][2] is not None])
-    s = Sphere.__new__(Sphere)
-    s._fill(nodes, labels, succ, mu, i, r, adj, order, dist)
-    return s
-
-
-def _key(word, adj, i: int, r: int):
-    """Canonical key of the radius-r ball around a valid position i;
-    ``adj`` is the word's neighbour table."""
-    order, _ = _bfs(i, adj, r)
+def _ball(center, adj, stack_of, labels, r: int, limit: int):
+    """The record of the radius-r ball around ``center``, searched to depth
+    ``limit``: ``index_of`` (its nodes in visiting order, numbered), their
+    distances, and the key (r, labels in visiting order, sorted (i, j, kind)
+    edges, kind 0 for a successor edge, else the stack tag).  ``adj`` may
+    reach beyond the ball; ``labels[v]`` is the label of node v."""
+    order, dist = _bfs(center, adj, limit)
     index_of = dict(zip(order, range(len(order))))
-    stack_of = word._stack_of
     edges = []
     for k, v in enumerate(order):
         so, _, mo, _ = adj[v]
@@ -210,54 +190,64 @@ def _key(word, adj, i: int, r: int):
         if j is not None:
             edges.append((k, j, stack_of[v]))
     edges.sort()
-    labels = word.labels
-    return (r, tuple([labels[v - 1] for v in order]), tuple(edges))
+    return index_of, dist, (r, tuple([labels[v] for v in order]), tuple(edges))
 
 
-# (word, its neighbour table, {radius: [key of position i at index i - 1, or None]})
-_recent = (None, None, {})
+# (word, neighbour table, labels, {radius: [record of i at i - 1]}, {radius: key list})
+_recent = (None, None, None, {}, {})
 
 
 def _cached(word, r: int):
-    """The word's neighbour table and the cache's key slots at radius r,
-    evicting any other word."""
+    """The word's neighbour table, labels, radius-r record slots and key lists, evicting others."""
     global _recent
-    recent_word, adj, table = _recent
+    recent_word, adj, labels, table, key_lists = _recent
     if recent_word is not word:
-        adj, table = _word_adj(word), {}
-        _recent = (word, adj, table)
-    slots = table.get(r)
-    if slots is None:
-        slots = table[r] = [None] * len(word.labels)
-    return adj, slots
+        adj, labels, table, key_lists = _word_adj(word), (None, *word.labels), {}, {}
+        _recent = (word, adj, labels, table, key_lists)
+    slots = table.get(r) or table.setdefault(r, [None] * len(word.labels))
+    return adj, labels, slots, key_lists
+
+
+def _record(word, i: int, r: int):
+    """Neighbour table, labels and the record of i's radius-r ball, filled on first use."""
+    _check_center(word, i, r)
+    adj, labels, slots, _ = _cached(word, r)
+    ball = slots[i - 1]
+    if ball is None:
+        ball = slots[i - 1] = _ball(i, adj, word._stack_of, labels, r, r)
+    return adj, labels, ball
+
+
+def sphere(word, i: int, r: int) -> Sphere:
+    """Extract the radius-r sphere of a word around position i from its cached ball
+    record, whose ``index_of`` and ``dist`` dicts it shares: neither may be changed."""
+    word_adj, word_labels, (index_of, dist, key) = _record(word, i, r)
+    _check_size(len(index_of), r)
+    nodes = tuple(sorted(index_of))
+    adj = {v: tuple([u if u in dist else None for u in word_adj[v]]) for v in nodes}
+    labels = {v: word_labels[v] for v in index_of}
+    succ = tuple([(v, adj[v][0]) for v in nodes if adj[v][0] is not None])
+    mu = tuple([(v, adj[v][2], word._stack_of[v]) for v in nodes if adj[v][2] is not None])
+    return Sphere.__new__(Sphere)._fill(nodes, labels, succ, mu, i, r, adj, index_of, dist, key)
 
 
 def _keys(word, r: int) -> list:
-    """Keys of every position of the word at radius r, position 1 first.
-
-    The list is the cache's own: callers read it and never change it.
-    """
+    """Keys of every position at radius r, position 1 first: the cache's own list, built once."""
     if r < 0:
         raise InvalidSphere("radius must be non-negative")
-    adj, slots = _cached(word, r)
-    for i, key in enumerate(slots, 1):
-        if key is None:
-            slots[i - 1] = _key(word, adj, i, r)
-    return slots
+    adj, labels, slots, key_lists = _cached(word, r)
+    keys = key_lists.get(r)
+    if keys is None:
+        for i, ball in enumerate(slots, 1):
+            if ball is None:
+                slots[i - 1] = _ball(i, adj, word._stack_of, labels, r, r)
+        keys = key_lists[r] = [ball[2] for ball in slots]
+    return keys
 
 
 def sphere_key(word, i: int, r: int):
-    """Canonical key of ``sphere(word, i, r)`` without building the object.
-
-    Equal keys mean isomorphic spheres; the edge encoding mirrors the
-    ``Sphere`` constructor exactly.
-    """
-    _check_center(word, i, r)
-    adj, slots = _cached(word, r)
-    key = slots[i - 1]
-    if key is None:
-        key = slots[i - 1] = _key(word, adj, i, r)
-    return key
+    """Canonical key of ``sphere(word, i, r)``; equal keys mean isomorphic spheres."""
+    return _record(word, i, r)[2][2]
 
 
 def sphere_iso(a: Sphere, b: Sphere) -> bool:
@@ -283,10 +273,9 @@ def enumerate_spheres(alphabet, r: int, max_len: int):
     seen = {}
     for tokens in iter_token_tuples(alphabet, max_len):
         word = nested(alphabet, tokens)
-        for i in word.positions():
-            s = sphere(word, i, r)
-            if s.key not in seen:
-                seen[s.key] = s
+        for i, key in enumerate(_keys(word, r), 1):
+            if key not in seen:
+                seen[key] = sphere(word, i, r)
     return list(seen.values())
 
 

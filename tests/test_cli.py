@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from nwtk.automata import Mnwa, automaton_to_json, load_automaton
 from nwtk.cli import main
-from nwtk.core import alphabet_to_json, iter_token_tuples, nested
+from nwtk.core import CallReturnAlphabet, alphabet_to_json, iter_token_tuples, nested
 from nwtk.spheres import sphere, sphere_to_json
 
-from fixtures import GRID34, S2, WORD10, guessing_mvpa, loop_mnwa, loop_mvpa
+from fixtures import GRID34, S2, S2C, WORD10, guessing_mvpa, loop_mnwa, loop_mvpa
 
 runner = CliRunner()
 
@@ -291,6 +291,15 @@ class TestSpheres:
     def test_needs_some_mode(self):
         result = runner.invoke(main, ["spheres", "--radius", "1"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("text", ["", " \n\t\n"], ids=["empty", "blank"])
+    def test_extract_from_a_file_without_words(self, text, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text(text, encoding="utf-8")
+        result = runner.invoke(
+            main, ["spheres", "--radius", "1", "--word", str(path), "--at", "1"]
+        )
+        assert_input_error(result)
 
 
 class TestSphereRun:
@@ -789,6 +798,91 @@ def test_grid_member_fuzz_keeps_the_exit_code_contract(word, tmp_path_factory):
     assert_fuzz_contract(result, malformed, ("MEMBER", "NOT MEMBER"))
     if not malformed:
         assert result.exit_code in (0, 1)
+
+
+def _duplicate_symbol(draw, data):
+    data["internal"].append(draw(st.sampled_from(data["stacks"][0]["calls"])))
+
+
+def _no_returns(draw, data):
+    del data["stacks"][0]["returns"]
+
+
+def _no_stacks(draw, data):
+    data["stacks"] = []
+
+
+def _bad_symbol(draw, data):
+    data["stacks"][0]["calls"] = [draw(st.sampled_from((1, "", None)))]
+
+
+ALPHABET_BREAKS = (_duplicate_symbol, _no_returns, _no_stacks, _bad_symbol)
+
+
+@st.composite
+def alphabet_file(draw):
+    """The text of an alphabet file, None for the default alphabet, and the
+    symbols it defines, None when the file is malformed."""
+    seed = draw(st.sampled_from((None, S2C, CallReturnAlphabet(((("a",), ("a~",)),)))))
+    if seed is None:
+        return None, S2.symbols
+    data = alphabet_to_json(seed)
+    edit = draw(st.sampled_from((None, None, *ALPHABET_BREAKS, "truncate")))
+    if edit is None:
+        return json.dumps(data), seed.symbols
+    if edit == "truncate":
+        text = json.dumps(data)
+        return text[: draw(st.integers(0, len(text) - 1))], None
+    edit(draw, data)
+    return json.dumps(data), None
+
+
+# word files with no word in them
+BLANK_WORD_FILES = ("", " ", "\n\n", " \t\n ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(("nest", "spheres", "sphere-run")),
+    alphabet=alphabet_file(),
+    text=st.one_of(mutated(WORD_SEEDS, WORD_TOKENS).map(" ".join),
+                   st.sampled_from(BLANK_WORD_FILES)),
+    radius=st.integers(0, 2),
+    position=st.integers(0, 8),
+)
+def test_word_file_fuzz_keeps_the_exit_code_contract(command, alphabet, text, radius,
+                                                     position, tmp_path_factory):
+    alphabet_text, symbols = alphabet
+    root = tmp_path_factory.getbasetemp() / "word-fuzz"
+    root.mkdir(exist_ok=True)
+    (root / "w.txt").write_text(text, encoding="utf-8")
+    args = [command, str(root / "w.txt")]
+    if command != "nest":
+        args += ["--radius", str(radius)]
+    if command == "spheres":
+        args[1:1] = ["--word"]
+        args += ["--at", str(position)]
+    if alphabet_text is not None:
+        (root / "alphabet.json").write_text(alphabet_text, encoding="utf-8")
+        args += ["--alphabet", str(root / "alphabet.json")]
+    result = runner.invoke(main, args)
+    words = [line.split() for line in text.splitlines() if line.strip()]
+    malformed = symbols is None or any(t not in symbols for w in words for t in w)
+    if command == "spheres":
+        malformed = malformed or not words or not 1 <= position <= len(words[0])
+    assert_fuzz_contract(result, malformed, None)
+    if malformed:
+        return
+    assert result.exit_code == 0  # canonical runs always verify
+    lines = result.output.splitlines()
+    if command == "nest":
+        fields = [line.split(":")[0] for line in lines]
+        assert fields == ["word", "matches", "pending"] * len(words)
+    elif command == "spheres":
+        assert json.loads(result.output)["center"] == position
+    else:
+        verdicts = [line for line in lines if line.startswith("verified")]
+        assert verdicts == ["verified: true"] * len(words)
 
 
 class TestGrid:

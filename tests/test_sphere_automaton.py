@@ -187,6 +187,17 @@ class TestCanonicalRun:
         for i in w.positions():
             assert sphere_iso(eta(run[i - 1]), sphere(w, i, 2))
 
+    def test_states_and_members_are_immutable(self):
+        state = canonical_run(word10(), 1)[2]
+        member = state.members[0]
+        for value, name in ((state, "valid"), (state, "members"), (member, "key"),
+                            (member, "active"), (member, "core")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert state.valid and member.core.radius == 1
+
     def test_edge_walk_stays_inside_the_run(self):
         # every member's active-node edge leads to a position whose state
         # holds the same sphere re-pointed there

@@ -302,16 +302,28 @@ class TestSphereFromWord:
         assert sphere_key(w, 1, 1) == key == sphere(w, 1, 1).key
 
 
+def _reference_keys(w, r):
+    """Keys of a fresh copy of ``w``, each sphere rebuilt by the validating
+    constructor: they read no record cached for ``w`` itself."""
+    v = nested(w.alphabet, w.labels)
+    keys = []
+    for i in v.positions():
+        s = sphere(v, i, r)
+        keys.append(Sphere(s.nodes, s.labels, s.succ, s.mu, i, r).key)
+    return keys
+
+
 class TestKeyCache:
-    """Keys come from a one-word cache; each must still equal the key of
-    the sphere built on its own."""
+    """Keys come from a one-word cache of ball records; each must equal the
+    key that the validating constructor gives a fresh copy of the word."""
 
     def test_interleaved_words(self):
         a, b = word10(), word16()
         for r in (0, 1, 2):
+            want = {w: _reference_keys(w, r) for w in (a, b)}
             for w in (a, b, a):
                 for i in w.positions():
-                    assert sphere_key(w, i, r) == sphere(w, i, r).key
+                    assert sphere_key(w, i, r) == sphere(w, i, r).key == want[w][i - 1]
 
     def test_equal_words_are_distinct_entries(self):
         tokens = ("a", "b", "a~", "c", "b~")
@@ -328,9 +340,10 @@ class TestKeyCache:
     def test_canonical_run_first(self):
         w = word16()
         for r in (0, 1, 2):
+            want = _reference_keys(w, r)
             canonical_run(w, r)
             for i in w.positions():
-                assert sphere_key(w, i, r) == sphere(w, i, r).key
+                assert sphere_key(w, i, r) == sphere(w, i, r).key == want[i - 1]
 
     def test_bad_arguments_after_caching(self):
         w = word10()
@@ -343,25 +356,32 @@ class TestKeyCache:
             sphere_key(w, 1, -1)
 
     def test_eviction_during_a_key_computation(self, monkeypatch):
-        """Another thread's word may replace the cached one while a key is
-        computed; the key must land in its own word's table only."""
+        """Another thread's word may replace the cached one while a ball is
+        traversed; its record must land in its own word's table only."""
         a, b = word10(), word16()
-        key = sphere_module._key
+        want = {(w, r): _reference_keys(w, r) for w in (a, b) for r in (0, 1, 2)}
+        ball = sphere_module._ball
 
-        def interleaved(word, adj, i, r):
-            out = key(word, adj, i, r)
-            if word is a:
-                sphere_key(b, i, r)
+        def interleaved(center, adj, stack_of, labels, r, limit):
+            out = ball(center, adj, stack_of, labels, r, limit)
+            if stack_of is a._stack_of:
+                sphere_key(b, center, r)
             return out
 
-        monkeypatch.setattr(sphere_module, "_key", interleaved)
+        monkeypatch.setattr(sphere_module, "_ball", interleaved)
         for r in (0, 1, 2):
+            assert sphere_module._keys(a, r) == want[a, r]
+            assert [sphere_key(b, i, r) for i in a.positions()] == want[b, r][: len(a)]
             for i in a.positions():
-                assert sphere_key(a, i, r) == sphere(a, i, r).key
+                assert sphere_key(a, i, r) == want[a, r][i - 1]
+                # b evicted a mid-traversal and is cached now: its slot i
+                # must hold b's own record
+                assert sphere_key(b, i, r) == want[b, r][i - 1]
+                assert sphere(a, i, r).key == want[a, r][i - 1]
         monkeypatch.undo()
         for r in (0, 1, 2):
             for i in b.positions():
-                assert sphere_key(b, i, r) == sphere(b, i, r).key
+                assert sphere_key(b, i, r) == sphere(b, i, r).key == want[b, r][i - 1]
 
     def test_threads_on_different_words(self):
         tokens = [
@@ -412,6 +432,40 @@ class TestKeyCache:
         assert calls == [10]
         sphere_key(w, 10, 2)
         assert calls == [10]
+
+    def test_one_traversal_per_ball(self, monkeypatch):
+        """The key pass and ``sphere`` share each ball's one traversal."""
+        bfs = sphere_module._bfs
+        calls = []
+
+        def counting_bfs(center, adj, limit):
+            calls.append((center, limit))
+            return bfs(center, adj, limit)
+
+        monkeypatch.setattr(sphere_module, "_bfs", counting_bfs)
+        w = word16()
+        for r in (0, 1, 2):
+            calls.clear()
+            canonical_run(w, r)
+            assert sorted(calls) == [(i, r) for i in w.positions()]
+        w = word16()
+        for r in (0, 1, 2):
+            for i in w.positions():
+                sphere_key(w, i, r)
+                calls.clear()
+                sphere(w, i, r)
+                assert calls == []
+
+
+def test_spheres_are_immutable():
+    built = Sphere((1, 2), {1: "a", 2: "a~"}, ((1, 2),), ((1, 2, 1),), 1, 1)
+    for s in (built, sphere(word16(), 10, 2)):
+        with pytest.raises(AttributeError):
+            s.key = ()
+        with pytest.raises(AttributeError):
+            s.center = 0
+        with pytest.raises(AttributeError):
+            del s.labels
 
 
 class TestSerialization:
