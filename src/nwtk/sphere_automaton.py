@@ -1,23 +1,25 @@
 """A run discipline that forces states to describe true neighborhoods.
 
-States are sets of extended spheres: a sphere plus an active node and a
-color.  Reading position i, a state collects, for every center within the
-radius, that center's sphere with the active node placed on i.  Local
-transition conditions compare how active nodes move along successor and
-matching edges; colors (from an overlap coloring of the word) separate
+States are sets of extended spheres: a sphere (the core), an active node
+and a color; a member's neighbours and distance are its core's at the
+active node.  Reading position i, a state collects, for every center
+within the radius, that center's sphere with the active node placed on i.
+Local transition conditions compare how active nodes move along successor
+and matching edges; colors (from an overlap coloring of the word) separate
 isomorphic spheres that lie close together, which pins every accepting
 run to the real sphere around each position.
 
 Membership of a re-pointed sphere in a state is decided up to
-isomorphism via canonical keys; within one state, members with
-isomorphic cores and equal colors must agree on the active node.
+isomorphism via canonical keys.  In a valid state, members with
+isomorphic cores and equal colors are one member, so ``core_groups``
+holds one active index per (core key, color).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import RETURN, _bfs, _immutable
+from .core import _bfs, _immutable
 from .errors import InvalidState, LengthMismatch
 from .spheres import Sphere, _cached, _keys, sphere
 
@@ -36,9 +38,12 @@ __all__ = [
 
 
 class ExtendedSphere:
-    """A sphere with an active node and a color."""
+    """A sphere (the core) with an active node and a color.  Its neighbours are
+    the core's at the active node, ``core.adj[active]``, and its distance is
+    ``core.dist[active]``; its key is (core key, the active node's index in
+    the core's visiting order, color)."""
 
-    __slots__ = ("core", "active", "color", "key", "so", "si", "mo", "mi", "dist")
+    __slots__ = ("core", "active", "color", "key")
 
     def __init__(self, core: Sphere, active, color: int):
         init = object.__setattr__
@@ -46,12 +51,6 @@ class ExtendedSphere:
         init(self, "active", active)
         init(self, "color", color)
         init(self, "key", (core.key, core.index_of[active], color))
-        so, si, mo, mi = core.adj[active]
-        init(self, "so", so)
-        init(self, "si", si)
-        init(self, "mo", mo)
-        init(self, "mi", mi)
-        init(self, "dist", core.dist[active])
 
     __setattr__ = __delattr__ = _immutable
 
@@ -80,21 +79,22 @@ class SphereState:
         calling = False
         for m in members:
             key = m.key
-            groups.setdefault((key[0], key[2]), []).append(key[1])
+            groups[key[0], key[2]] = key[1]
             if key[1] == 0:
                 centered += 1
             labels.add(m.core.labels[m.active])
-            if m.mo is not None:
+            so, _, mo, _ = m.core.adj[m.active]
+            if mo is not None:
                 final = False
                 calling = True
-            elif m.so is not None:
+            elif so is not None:
                 final = False
         label = labels.pop() if len(labels) == 1 else None
         valid = centered == 1 and label is not None and len(groups) == len(members)
         init = object.__setattr__
         init(self, "members", members)
         init(self, "key", frozenset(by_key))
-        init(self, "core_groups", {k: tuple(v) for k, v in groups.items()})
+        init(self, "core_groups", groups)
         init(self, "label", label)
         init(self, "valid", not members or valid)
         init(self, "final", final)
@@ -124,32 +124,30 @@ def _require_valid(*states):
             raise InvalidState("a state violates the membership conditions")
 
 
-def _moves_land(src, edge, nxt, r) -> bool:
-    """Every member of ``src`` moves its active node along ``edge`` into ``nxt``.
-
-    ``edge`` is "so" (conditions (5), (7), (3)) or "mo" (the primed ones).
-    """
+def _moves_land(src, slot, nxt, r) -> bool:
+    """Every member of ``src`` moves its active node along its core's edge in
+    ``slot`` of ``core.adj`` into ``nxt``: 0, successor out, for conditions
+    (5), (7) and (3); 2, matching out, for the primed ones."""
     nxt_keys = nxt.key
     nxt_groups = nxt.core_groups
     for e in src.members:
-        u = getattr(e, edge)
+        core = e.core
+        u = core.adj[e.active][slot]
         if u is None:
-            if e.dist != r:  # (5)
+            if core.dist[e.active] != r:  # (5)
                 return False
             u_idx = -1
         else:
-            if e.key_at(u) not in nxt_keys:  # (7)
+            u_idx = core.index_of[u]
+            if (core.key, u_idx, e.color) not in nxt_keys:  # (7)
                 return False
-            u_idx = e.core.index_of[u]
-        idxs = nxt_groups.get((e.core.key, e.color))
-        if idxs:  # (3)
-            for ai in idxs:
-                if ai != u_idx:
-                    return False
+        # nxt, valid, holds at most one member per (core, color)
+        if nxt_groups.get((core.key, e.color), u_idx) != u_idx:  # (3)
+            return False
     return True
 
 
-def delta_allows(prev, matched, symbol, nxt, alphabet=None) -> bool:
+def delta_allows(prev, matched, symbol, nxt) -> bool:
     """Whether the automaton permits the step prev -> nxt reading ``symbol``.
 
     ``matched`` is the state taken right after the matching call, or None
@@ -160,29 +158,28 @@ def delta_allows(prev, matched, symbol, nxt, alphabet=None) -> bool:
         return False
     if nxt.label != symbol:  # (2)
         return False
-    if matched is not None:
-        if alphabet is not None and alphabet.classify(symbol).kind != RETURN:
-            return False
-        if not prev.members or not matched.members:
-            return False
+    if matched is not None and not (prev.members and matched.members):
+        return False
     r = nxt.members[0].core.radius
     prev_nonempty = bool(prev.members)
     for e2 in nxt.members:
-        if e2.si is None:
-            if prev_nonempty and e2.dist != r:  # (4)
+        core = e2.core
+        _, si, _, mi = core.adj[e2.active]
+        if si is None:
+            if prev_nonempty and core.dist[e2.active] != r:  # (4)
                 return False
-        elif e2.key_at(e2.si) not in prev.key:  # (6)
+        elif e2.key_at(si) not in prev.key:  # (6)
             return False
         if matched is None:
-            if e2.mi is not None:  # (1)
+            if mi is not None:  # (1)
                 return False
-        elif e2.mi is None:
-            if e2.dist != r:  # (4')
+        elif mi is None:
+            if core.dist[e2.active] != r:  # (4')
                 return False
-        elif e2.key_at(e2.mi) not in matched.key:  # (6')
+        elif e2.key_at(mi) not in matched.key:  # (6')
             return False
-    return _moves_land(prev, "so", nxt, r) and (
-        matched is None or _moves_land(matched, "mo", nxt, r)
+    return _moves_land(prev, 0, nxt, r) and (
+        matched is None or _moves_land(matched, 2, nxt, r)
     )
 
 

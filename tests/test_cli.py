@@ -782,6 +782,14 @@ def test_automaton_file_fuzz_keeps_the_exit_code_contract(case, tmp_path_factory
     if not broken:
         assert result.exit_code == 0
         assert json.loads(result.stdout)["kind"] != data["kind"]
+    # both take mnwa files only: a valid mvpa is refused as input too
+    right = write_json(root, "r.json", automaton_to_json(loop_mnwa()))
+    for args in (["degeneralize", machine], ["product", machine, right, "--mode", "intersection"]):
+        result = runner.invoke(main, args)
+        assert_fuzz_contract(result, broken or data["kind"] == "mvpa", None)
+        if not broken and data["kind"] == "mnwa":
+            assert result.exit_code == 0
+            assert json.loads(result.stdout)["kind"] == "mnwa"
 
 
 GRID_SEEDS = ("a a~", "a a a~ b a~ b b~ a b~ a a~ a~\na b a~ b~", GRID34)

@@ -60,6 +60,10 @@ class TestStatePredicates:
         )
         assert not state.valid
 
+    def test_core_groups_hold_one_active_index(self):
+        for state in canonical_run(word16(), 2):
+            assert state.core_groups == {(m.key[0], m.key[2]): m.key[1] for m in state.members}
+
     def test_matched_call_state_is_calling(self):
         run = canonical_run(nested(S2, ("a", "a~")), 1)
         assert run[0].calling
@@ -84,18 +88,95 @@ class TestDeltaAllows:
         w = word10()
         run = canonical_run(w, 1)
         assert len(run[3]) == 4 and len(run[4]) == 4
-        assert delta_allows(run[3], run[2], "a~", run[4], S2)
+        assert delta_allows(run[3], run[2], "a~", run[4])
 
-    def test_matched_step_requires_return_symbol(self):
+    def test_matched_step_symbol_must_be_the_label(self):
+        """A matched step reading a symbol other than nxt's label: (2) refuses it."""
         w = word10()
         run = canonical_run(w, 1)
-        assert not delta_allows(run[3], run[2], "a", run[4], S2)
+        assert not delta_allows(run[3], run[2], "a", run[4])
 
     def test_invalid_state_raises(self):
         w = nested(S2, ("a", "a~"))
         bad = SphereState([ExtendedSphere(sphere(w, 2, 1), 1, 1)])
         with pytest.raises(InvalidState):
             delta_allows(EMPTY_STATE, None, "a", bad)
+
+
+# ---------------------------------------------------------------------------
+# the numbered conditions: one step each that only that condition refuses
+# (with it dropped, the step is allowed)
+
+def plus(state, *members):
+    return SphereState(state.members + members)
+
+
+def forged(tokens, center, active):
+    """A radius-2 member cut from another word, in color 99, which no
+    canonical run below uses: it shares no (core, color) group."""
+    return ExtendedSphere(sphere(nested(S2, tokens), center, 2), active, 99)
+
+
+def plain_step():
+    """word10 at radius 2, reading position 2 (b) from position 1."""
+    run = canonical_run(word10(), 2)
+    assert delta_allows(run[0], None, "b", run[1])
+    return run[0], run[1]
+
+
+def matched_step():
+    """word10 at radius 2, reading position 5 (a~, matched to the call at 3)."""
+    run = canonical_run(word10(), 2)
+    assert delta_allows(run[3], run[2], "a~", run[4])
+    return run[3], run[2], run[4]
+
+
+class TestConditions:
+    def test_1_a_matching_edge_needs_a_matched_state(self):
+        run = canonical_run(nested(S2, ("a", "a~")), 1)
+        assert not delta_allows(run[0], None, "a~", run[1])
+
+    def test_3_a_core_and_color_cannot_reappear_elsewhere(self):
+        w = nested(S2, ("a", "a"))
+        prev = SphereState([ExtendedSphere(sphere(w, 1, 0), 1, 1)])
+        for color, allowed in ((1, False), (2, True)):
+            nxt = SphereState([ExtendedSphere(sphere(w, 2, 0), 2, color)])
+            assert delta_allows(prev, None, "a", nxt) is allowed
+
+    def test_4_no_predecessor_inside_the_radius_after_a_nonempty_state(self):
+        prev, nxt = plain_step()
+        # position 1 of "b b" has no predecessor and lies one step from the center
+        assert not delta_allows(prev, None, "b", plus(nxt, forged(("b", "b"), 2, 1)))
+
+    def test_4p_no_matching_edge_inside_the_radius_at_a_matched_step(self):
+        prev, call, nxt = matched_step()
+        # position 2 of "b a~ a" is a pending return one step from the center
+        core = ("b", "a~", "a")
+        nxt = plus(nxt, forged(core, 3, 2))
+        assert not delta_allows(plus(prev, forged(core, 3, 1)), call, "a~", nxt)
+
+    def test_5_no_successor_inside_the_radius(self):
+        prev, nxt = plain_step()
+        # position 2 of "a a" is the last one, one step from the center
+        assert not delta_allows(plus(prev, forged(("a", "a"), 1, 2)), None, "b", nxt)
+
+    def test_6_the_predecessor_comes_from_the_previous_state(self):
+        prev, nxt = plain_step()
+        # the predecessor, position 1 of "b b", has no color-99 copy in prev
+        assert not delta_allows(prev, None, "b", plus(nxt, forged(("b", "b"), 1, 2)))
+
+    def test_6p_the_matching_edge_comes_from_the_matched_state(self):
+        prev, call, nxt = matched_step()
+        # 5 is matched to 3 in this core, but the call's state holds no color-99 copy
+        core = sphere(word10(), 3, 2)
+        prev = plus(prev, ExtendedSphere(core, 4, 99))
+        nxt = plus(nxt, ExtendedSphere(core, 5, 99))
+        assert not delta_allows(prev, call, "a~", nxt)
+
+    def test_7_the_successor_lands_in_the_next_state(self):
+        prev, nxt = plain_step()
+        # the successor, position 2 of "a a", has no color-99 copy in nxt
+        assert not delta_allows(plus(prev, forged(("a", "a"), 2, 1)), None, "b", nxt)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +286,7 @@ class TestCanonicalRun:
             run = canonical_run(w, 1)
             for i in w.positions():
                 for m in run[i - 1].members:
-                    for j in (m.so, m.si, m.mo, m.mi):
+                    for j in m.core.adj[m.active]:
                         if j is not None:
                             assert m.key_at(j) in run[j - 1].key
 
