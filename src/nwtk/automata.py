@@ -40,6 +40,7 @@ from .core import (
     INTERNAL,
     RETURN,
     _immutable,
+    _slot_setters,
     alphabet_to_json,
     nested,
     validate_alphabet,
@@ -119,16 +120,15 @@ class Mvpa:
         delta_return,
         delta_internal,
     ):
-        init = object.__setattr__
-        init(self, "alphabet", alphabet)
-        init(self, "states", frozenset(states))
-        init(self, "gamma", frozenset(gamma))
-        init(self, "bottom", bottom)
-        init(self, "initial", frozenset(initial))
-        init(self, "final", frozenset(final))
-        init(self, "delta_call", frozenset(tuple(t) for t in delta_call))
-        init(self, "delta_return", frozenset(tuple(t) for t in delta_return))
-        init(self, "delta_internal", frozenset(tuple(t) for t in delta_internal))
+        _Mvpa_alphabet(self, alphabet)
+        _Mvpa_states(self, frozenset(states))
+        _Mvpa_gamma(self, frozenset(gamma))
+        _Mvpa_bottom(self, bottom)
+        _Mvpa_initial(self, frozenset(initial))
+        _Mvpa_final(self, frozenset(final))
+        _Mvpa_delta_call(self, frozenset(tuple(t) for t in delta_call))
+        _Mvpa_delta_return(self, frozenset(tuple(t) for t in delta_return))
+        _Mvpa_delta_internal(self, frozenset(tuple(t) for t in delta_internal))
         if bottom in self.gamma:
             raise NwtkError("the bottom symbol cannot be a pushable stack symbol")
         _check_states(self.states, self.initial, self.final)
@@ -155,11 +155,16 @@ class Mvpa:
                 pop[A, q, a].append(q2)
         for q, a, q2 in self.delta_internal:
             step[q, a].add(q2)
-        init(self, "_push", dict(push))
-        init(self, "_step", dict(step))
-        init(self, "_pop", dict(pop))
+        _Mvpa_push(self, dict(push))
+        _Mvpa_step(self, dict(step))
+        _Mvpa_pop(self, dict(pop))
 
     __setattr__ = __delattr__ = _immutable
+
+
+(_Mvpa_alphabet, _Mvpa_states, _Mvpa_gamma, _Mvpa_bottom, _Mvpa_initial, _Mvpa_final,
+ _Mvpa_delta_call, _Mvpa_delta_return, _Mvpa_delta_internal,
+ _Mvpa_push, _Mvpa_step, _Mvpa_pop) = _slot_setters(Mvpa)
 
 
 def mvpa_initial_configs(a: Mvpa) -> frozenset:
@@ -237,14 +242,13 @@ class Mnwa:
     )
 
     def __init__(self, alphabet, states, initial, final, delta1, delta2, calling=()):
-        init = object.__setattr__
-        init(self, "alphabet", alphabet)
-        init(self, "states", frozenset(states))
-        init(self, "initial", frozenset(initial))
-        init(self, "final", frozenset(final))
-        init(self, "calling", frozenset(calling))
-        init(self, "delta1", frozenset(tuple(t) for t in delta1))
-        init(self, "delta2", frozenset(tuple(t) for t in delta2))
+        _Mnwa_alphabet(self, alphabet)
+        _Mnwa_states(self, frozenset(states))
+        _Mnwa_initial(self, frozenset(initial))
+        _Mnwa_final(self, frozenset(final))
+        _Mnwa_calling(self, frozenset(calling))
+        _Mnwa_delta1(self, frozenset(tuple(t) for t in delta1))
+        _Mnwa_delta2(self, frozenset(tuple(t) for t in delta2))
         _check_states(self.states, self.initial, self.final, self.calling)
         sq, sa, sq2 = _columns(self.delta1, 3)
         rp, rq, ra, rq2 = _columns(self.delta2, 4)
@@ -263,11 +267,15 @@ class Mnwa:
         for p, q, a, q2 in self.delta2:
             if q2 not in calling:
                 pop[p, q, a].append(q2)
-        init(self, "_push", dict(push))
-        init(self, "_step", dict(step))
-        init(self, "_pop", dict(pop))
+        _Mnwa_push(self, dict(push))
+        _Mnwa_step(self, dict(step))
+        _Mnwa_pop(self, dict(pop))
 
     __setattr__ = __delattr__ = _immutable
+
+
+(_Mnwa_alphabet, _Mnwa_states, _Mnwa_initial, _Mnwa_final, _Mnwa_calling,
+ _Mnwa_delta1, _Mnwa_delta2, _Mnwa_push, _Mnwa_step, _Mnwa_pop) = _slot_setters(Mnwa)
 
 
 def mnwa_run_check(b: Mnwa, word, run) -> bool:

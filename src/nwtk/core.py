@@ -32,6 +32,14 @@ def _immutable(self, name, *value):
     raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+def _slot_setters(cls) -> tuple:
+    """The setters of ``cls``'s slots, in slot order.  A value type refuses
+    assignment through ``_immutable``; its constructor stores each field
+    through the slot's own setter, bound once at module level: a direct
+    store, without the attribute lookup of a generic assignment."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
 @dataclass(frozen=True)
 class SymbolClass:
     """Role of a symbol: call/return with a 1-based stack index, or internal."""
@@ -72,10 +80,10 @@ class CallReturnAlphabet:
                 add(sym, SymbolClass(RETURN, s))
         for sym in internal:
             add(sym, SymbolClass(INTERNAL))
-        object.__setattr__(self, "stacks", stacks)
-        object.__setattr__(self, "internal", internal)
-        object.__setattr__(self, "_class_of", class_of)
-        object.__setattr__(self, "symbols", tuple(order))
+        _CallReturnAlphabet_stacks(self, stacks)
+        _CallReturnAlphabet_internal(self, internal)
+        _CallReturnAlphabet_class_of(self, class_of)
+        _CallReturnAlphabet_symbols(self, tuple(order))
 
     __setattr__ = __delattr__ = _immutable
 
@@ -114,6 +122,10 @@ class CallReturnAlphabet:
 
     def __repr__(self):
         return f"CallReturnAlphabet(stacks={self.stacks!r}, internal={self.internal!r})"
+
+
+(_CallReturnAlphabet_stacks, _CallReturnAlphabet_internal, _CallReturnAlphabet_class_of,
+ _CallReturnAlphabet_symbols) = _slot_setters(CallReturnAlphabet)
 
 
 def _list(value, what):
@@ -165,13 +177,12 @@ class NestedWord:
     __slots__ = ("alphabet", "labels", "_mu", "_mu_inv", "_stack_of", "pending")
 
     def __init__(self, alphabet, labels, mu, stack_of, pending):
-        init = object.__setattr__
-        init(self, "alphabet", alphabet)
-        init(self, "labels", tuple(labels))
-        init(self, "_mu", dict(mu))
-        init(self, "_mu_inv", {j: i for i, j in mu.items()})
-        init(self, "_stack_of", dict(stack_of))
-        init(self, "pending", frozenset(pending))
+        _NestedWord_alphabet(self, alphabet)
+        _NestedWord_labels(self, tuple(labels))
+        _NestedWord_mu(self, dict(mu))
+        _NestedWord_mu_inv(self, {j: i for i, j in mu.items()})
+        _NestedWord_stack_of(self, dict(stack_of))
+        _NestedWord_pending(self, frozenset(pending))
 
     __setattr__ = __delattr__ = _immutable
 
@@ -236,6 +247,10 @@ class NestedWord:
 
     def __repr__(self):
         return f"NestedWord({' '.join(self.labels)})"
+
+
+(_NestedWord_alphabet, _NestedWord_labels, _NestedWord_mu, _NestedWord_mu_inv,
+ _NestedWord_stack_of, _NestedWord_pending) = _slot_setters(NestedWord)
 
 
 def _word_adj(word: NestedWord) -> list:

@@ -17,9 +17,11 @@ holds one active index per (core key, color).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
-from .core import _bfs, _immutable
+from .core import _bfs, _immutable, _slot_setters
 from .errors import InvalidState, LengthMismatch
 from .spheres import Sphere, _cached, _keys, sphere
 
@@ -46,11 +48,10 @@ class ExtendedSphere:
     __slots__ = ("core", "active", "color", "key")
 
     def __init__(self, core: Sphere, active, color: int):
-        init = object.__setattr__
-        init(self, "core", core)
-        init(self, "active", active)
-        init(self, "color", color)
-        init(self, "key", (core.key, core.index_of[active], color))
+        _ExtendedSphere_core(self, core)
+        _ExtendedSphere_active(self, active)
+        _ExtendedSphere_color(self, color)
+        _ExtendedSphere_key(self, (core.key, core.index_of[active], color))
 
     __setattr__ = __delattr__ = _immutable
 
@@ -60,6 +61,10 @@ class ExtendedSphere:
 
     def __repr__(self):
         return f"ExtendedSphere(center={self.core.center}, active={self.active}, color={self.color})"
+
+
+(_ExtendedSphere_core, _ExtendedSphere_active, _ExtendedSphere_color,
+ _ExtendedSphere_key) = _slot_setters(ExtendedSphere)
 
 
 class SphereState:
@@ -91,14 +96,13 @@ class SphereState:
                 final = False
         label = labels.pop() if len(labels) == 1 else None
         valid = centered == 1 and label is not None and len(groups) == len(members)
-        init = object.__setattr__
-        init(self, "members", members)
-        init(self, "key", frozenset(by_key))
-        init(self, "core_groups", groups)
-        init(self, "label", label)
-        init(self, "valid", not members or valid)
-        init(self, "final", final)
-        init(self, "calling", calling)
+        _SphereState_members(self, members)
+        _SphereState_key(self, frozenset(by_key))
+        _SphereState_core_groups(self, groups)
+        _SphereState_label(self, label)
+        _SphereState_valid(self, not members or valid)
+        _SphereState_final(self, final)
+        _SphereState_calling(self, calling)
 
     __setattr__ = __delattr__ = _immutable
 
@@ -113,6 +117,10 @@ class SphereState:
 
     def __repr__(self):
         return f"SphereState({len(self.members)} members)"
+
+
+(_SphereState_members, _SphereState_key, _SphereState_core_groups, _SphereState_label,
+ _SphereState_valid, _SphereState_final, _SphereState_calling) = _slot_setters(SphereState)
 
 
 EMPTY_STATE = SphereState(())
@@ -202,22 +210,23 @@ class OverlapColoring:
 
     Two positions overlap when their spheres are isomorphic and their
     distance is at most 2r+1; overlapping positions get distinct colors.
+    ``colors`` and ``degrees`` map each position to its color and its
+    number of overlap neighbours; both are read-only views.
     """
 
     radius: int
-    colors: dict
-    degrees: dict
+    colors: Mapping
+    degrees: Mapping
     max_degree: int
     num_colors: int
 
 
-def _overlap_adjacency(word, r, keys):
+def _overlap_adjacency(word_adj, r, keys):
     """Overlap neighbors per position: equal keys within distance 2r+1."""
     groups: dict = {}
     for i, key in enumerate(keys, 1):
         groups.setdefault(key, []).append(i)
-    adj = {i: [] for i in word.positions()}
-    word_adj = _cached(word, r)[0]
+    adj = {i: [] for i in range(1, len(keys) + 1)}
     for group in groups.values():
         if len(group) < 2:
             continue
@@ -229,7 +238,15 @@ def _overlap_adjacency(word, r, keys):
 
 
 def chi_coloring(word, r: int) -> OverlapColoring:
-    adj = _overlap_adjacency(word, r, _keys(word, r))
+    """The overlap coloring of the word at radius r: each position takes the
+    least color that no earlier overlap neighbour holds.  It is computed once
+    per word and radius and kept in the one-word cache of ``spheres`` beside
+    the key list, so later calls on the same word return the same object."""
+    word_adj, _, _, _, colorings = _cached(word, r)
+    coloring = colorings.get(r)
+    if coloring is not None:
+        return coloring
+    adj = _overlap_adjacency(word_adj, r, _keys(word, r))
     colors: dict = {}
     for i in range(1, len(word) + 1):
         used = {colors[j] for j in adj[i] if j in colors}
@@ -238,18 +255,21 @@ def chi_coloring(word, r: int) -> OverlapColoring:
             c += 1
         colors[i] = c
     degrees = {i: len(adj[i]) for i in adj}
-    return OverlapColoring(
+    coloring = colorings[r] = OverlapColoring(
         radius=r,
-        colors=colors,
-        degrees=degrees,
+        colors=MappingProxyType(colors),
+        degrees=MappingProxyType(degrees),
         max_degree=max(degrees.values(), default=0),
         num_colors=max(colors.values(), default=0),
     )
+    return coloring
 
 
 def canonical_run(word, r: int) -> list[SphereState]:
     """The intended accepting run: state i collects every sphere whose
-    center lies within the radius of position i, re-pointed to i."""
+    center lies within the radius of position i, re-pointed to i.  Colors
+    come from ``chi_coloring``, so a coloring already cached for this word
+    and radius is read, not recomputed."""
     spheres = [sphere(word, i, r) for i in word.positions()]
     colors = chi_coloring(word, r).colors
     states = []

@@ -36,16 +36,18 @@ one predecessor and at most one matching partner per position).
 Each ball is traversed once per word, position and radius.  A one-word
 cache holds the most recent word (matched by identity; words are
 immutable), its neighbour table and labels and, per radius, the records
-of its positions, each filled in on first use, and their key list once
-all are.  The word's entry and each record are written as one tuple, so
-threads working on different words only evict each other and recompute.
+of its positions, each filled in on first use, their key list once all
+are, and the overlap coloring that ``sphere_automaton.chi_coloring``
+computes from that key list; ``canonical_run`` reads its colors there.
+The word's entry and each record are written as one tuple, so threads
+working on different words only evict each other and recompute.
 """
 
 from __future__ import annotations
 
 import json
 
-from .core import _bfs, _immutable, _word_adj, iter_token_tuples, nested
+from .core import _bfs, _immutable, _slot_setters, _word_adj, iter_token_tuples, nested
 from .errors import InvalidSphere, PositionOutOfRange, RadiusMismatch
 
 __all__ = [
@@ -134,17 +136,16 @@ class Sphere:
 
     def _fill(self, nodes, labels, succ, mu, center, radius, adj, index_of, dist, key):
         """Set every field from a checked graph and its ball record; returns the sphere."""
-        init = object.__setattr__
-        init(self, "nodes", nodes)
-        init(self, "labels", labels)
-        init(self, "succ", succ)
-        init(self, "mu", mu)
-        init(self, "center", center)
-        init(self, "radius", radius)
-        init(self, "adj", adj)
-        init(self, "index_of", index_of)
-        init(self, "dist", dist)
-        init(self, "key", key)
+        _Sphere_nodes(self, nodes)
+        _Sphere_labels(self, labels)
+        _Sphere_succ(self, succ)
+        _Sphere_mu(self, mu)
+        _Sphere_center(self, center)
+        _Sphere_radius(self, radius)
+        _Sphere_adj(self, adj)
+        _Sphere_index_of(self, index_of)
+        _Sphere_dist(self, dist)
+        _Sphere_key(self, key)
         return self
 
     __setattr__ = __delattr__ = _immutable
@@ -157,19 +158,15 @@ class Sphere:
         return f"Sphere(r={self.radius}, center={self.center}, {parts})"
 
 
+(_Sphere_nodes, _Sphere_labels, _Sphere_succ, _Sphere_mu, _Sphere_center, _Sphere_radius,
+ _Sphere_adj, _Sphere_index_of, _Sphere_dist, _Sphere_key) = _slot_setters(Sphere)
+
+
 def _check_size(size: int, radius: int):
     # from radius size.bit_length() on the bound exceeds any size; skipping
     # the power there keeps a huge radius read from a file cheap
     if radius < size.bit_length() and size > max_size_bound(radius):
         raise InvalidSphere(f"{size} nodes exceed the size bound for radius {radius}")
-
-
-def _check_center(word, i: int, r: int):
-    n = len(word.labels)
-    if not 1 <= i <= n:
-        raise PositionOutOfRange(f"position {i} not in 1..{n}")
-    if r < 0:
-        raise InvalidSphere("radius must be non-negative")
 
 
 def _ball(center, adj, stack_of, labels, r: int, limit: int):
@@ -193,25 +190,32 @@ def _ball(center, adj, stack_of, labels, r: int, limit: int):
     return index_of, dist, (r, tuple([labels[v] for v in order]), tuple(edges))
 
 
-# (word, neighbour table, labels, {radius: [record of i at i - 1]}, {radius: key list})
-_recent = (None, None, None, {}, {})
+# (word, neighbour table, labels, {radius: [record of i at i - 1]}, {radius: key list},
+#  {radius: overlap coloring})
+_recent = (None, None, None, {}, {}, {})
 
 
 def _cached(word, r: int):
-    """The word's neighbour table, labels, radius-r record slots and key lists, evicting others."""
+    """The word's neighbour table, labels, radius-r record slots, key lists and
+    colorings, evicting others."""
     global _recent
-    recent_word, adj, labels, table, key_lists = _recent
+    if r < 0:
+        raise InvalidSphere("radius must be non-negative")
+    recent_word, adj, labels, table, key_lists, colorings = _recent
     if recent_word is not word:
-        adj, labels, table, key_lists = _word_adj(word), (None, *word.labels), {}, {}
-        _recent = (word, adj, labels, table, key_lists)
+        adj, labels = _word_adj(word), (None, *word.labels)
+        table, key_lists, colorings = {}, {}, {}
+        _recent = (word, adj, labels, table, key_lists, colorings)
     slots = table.get(r) or table.setdefault(r, [None] * len(word.labels))
-    return adj, labels, slots, key_lists
+    return adj, labels, slots, key_lists, colorings
 
 
 def _record(word, i: int, r: int):
     """Neighbour table, labels and the record of i's radius-r ball, filled on first use."""
-    _check_center(word, i, r)
-    adj, labels, slots, _ = _cached(word, r)
+    n = len(word.labels)
+    if not 1 <= i <= n:
+        raise PositionOutOfRange(f"position {i} not in 1..{n}")
+    adj, labels, slots, _, _ = _cached(word, r)
     ball = slots[i - 1]
     if ball is None:
         ball = slots[i - 1] = _ball(i, adj, word._stack_of, labels, r, r)
@@ -233,9 +237,7 @@ def sphere(word, i: int, r: int) -> Sphere:
 
 def _keys(word, r: int) -> list:
     """Keys of every position at radius r, position 1 first: the cache's own list, built once."""
-    if r < 0:
-        raise InvalidSphere("radius must be non-negative")
-    adj, labels, slots, key_lists = _cached(word, r)
+    adj, labels, slots, key_lists, _ = _cached(word, r)
     keys = key_lists.get(r)
     if keys is None:
         for i, ball in enumerate(slots, 1):

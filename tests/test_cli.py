@@ -893,6 +893,56 @@ def test_word_file_fuzz_keeps_the_exit_code_contract(command, alphabet, text, ra
         assert verdicts == ["verified: true"] * len(words)
 
 
+@settings(max_examples=200, deadline=None)
+@given(alphabet=alphabet_file(), max_len=st.integers(1, 3))
+def test_corpus_fuzz_keeps_the_exit_code_contract(alphabet, max_len, tmp_path_factory):
+    alphabet_text, symbols = alphabet
+    if alphabet_text is None:  # corpus has no default alphabet
+        alphabet_text = json.dumps(alphabet_to_json(S2))
+    root = tmp_path_factory.getbasetemp() / "corpus-fuzz"
+    root.mkdir(exist_ok=True)
+    (root / "alphabet.json").write_text(alphabet_text, encoding="utf-8")
+    result = runner.invoke(main, ["corpus", str(root / "alphabet.json"), "--max-len", str(max_len)])
+    assert_fuzz_contract(result, symbols is None, None)
+    if symbols is None:
+        return
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    assert len(set(lines)) == len(lines) == sum(len(symbols) ** k for k in range(1, max_len + 1))
+    assert all(set(line.split()) <= set(symbols) for line in lines)
+
+
+DIRECTION_SEEDS = ("jump1 fwd jump2 fwd back1 bwd", "jump1 fwd back2 fwd", "fwd bwd\nfwd")
+# a direction is fwd or bwd, or jump or back with a stack index from 1
+VALID_DIRECTIONS = ("fwd", "bwd", "jump1", "back1", "jump2", "back2", "jump3", "back12")
+BAD_DIRECTIONS = ("fwd1", "jump", "back0", "up", "cw")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dirs=mutated(DIRECTION_SEEDS, (*VALID_DIRECTIONS, *BAD_DIRECTIONS, "\n")),
+    slack=st.integers(-2, 4),
+)
+def test_circular_fuzz_keeps_the_exit_code_contract(dirs, slack, tmp_path_factory):
+    root = tmp_path_factory.getbasetemp() / "circular-fuzz"
+    root.mkdir(exist_ok=True)
+    text = " ".join(dirs)
+    moves = text.split()
+    bound = max(1, len(moves) + 1 + slack)  # the least bound that can hold a witness, + slack
+    (root / "w.dirs").write_text(text, encoding="utf-8")
+    result = runner.invoke(main, ["circular", str(root / "w.dirs"), "--bound", str(bound)])
+    malformed = (not set(moves) <= set(VALID_DIRECTIONS)
+                 or not moves or bound < len(moves) + 1)
+    assert_fuzz_contract(result, malformed, None)
+    if malformed:
+        return
+    first = result.output.splitlines()[0]
+    if result.exit_code == 0:
+        assert first == f"CIRCULAR (bound={bound})"
+    else:
+        assert result.exit_code == 1 and result.output == f"NOT CIRCULAR (bound={bound})\n"
+
+
 class TestGrid:
     def test_encode(self):
         result = runner.invoke(main, ["grid", "encode", "3", "4"])

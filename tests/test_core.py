@@ -1,8 +1,11 @@
 """Alphabets, nested words, matching, distance, and serialization."""
 
+from types import MemberDescriptorType
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nwtk import automata, core, sphere_automaton, spheres
 from nwtk.core import (
     CallReturnAlphabet,
     NestedWord,
@@ -284,6 +287,25 @@ def test_values_are_immutable():
             del view[1]
     assert w.labels == tuple(WORD10.split()) and S2.k == 2
     assert w.mu == {3: 5, 1: 6, 4: 8, 2: 9} and w.mu_inv[6] == 1 and w.stack_of[2] == 2
+
+
+def test_slot_setters_store_the_field_they_are_named_after():
+    # each value type binds its slots' setters at module level, one name per
+    # slot, by unpacking them in slot order; a name out of order would store
+    # a field into another slot
+    stored = {}
+    for module in (core, automata, spheres, sphere_automaton):
+        for name, value in vars(module).items():
+            slot = getattr(value, "__self__", None)
+            if isinstance(slot, MemberDescriptorType):
+                cls = slot.__objclass__
+                assert name == f"_{cls.__name__}_{slot.__name__.lstrip('_')}"
+                stored.setdefault(cls, set()).add(slot.__name__)
+    assert {cls.__name__ for cls in stored} == {
+        "CallReturnAlphabet", "NestedWord", "Mvpa", "Mnwa", "Sphere", "ExtendedSphere",
+        "SphereState",
+    }
+    assert all(fields == set(cls.__slots__) for cls, fields in stored.items())
 
 
 def test_word_keeps_its_own_maps():

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nwtk import sphere_automaton
 from nwtk.core import distance, iter_token_tuples, nested
 from nwtk.errors import InvalidState, LengthMismatch
 from nwtk.sphere_automaton import (
@@ -195,6 +196,47 @@ class TestChiColoring:
     def test_single_position(self):
         coloring = chi_coloring(nested(S2, ("a",)), 1)
         assert coloring.colors == {1: 1}
+
+    def test_colors_and_degrees_are_read_only(self):
+        coloring = chi_coloring(word10(), 1)
+        for view in (coloring.colors, coloring.degrees):
+            with pytest.raises(TypeError):
+                view[1] = 9
+            with pytest.raises(TypeError):
+                del view[1]
+        for name in ("colors", "degrees", "num_colors"):
+            with pytest.raises(AttributeError):
+                setattr(coloring, name, None)
+        assert coloring.colors[1] == 1 and len(coloring.degrees) == 10
+
+    @pytest.mark.parametrize("r", (0, 1, 2))
+    def test_cached_coloring_leaves_with_its_word(self, r):
+        a, b = word16(), word10()
+        chi_coloring(a, r)
+        assert list(chi_coloring(b, r).colors) == list(b.positions())  # evicts a
+        run = canonical_run(a, r)
+        colors = dict(chi_coloring(a, r).colors)
+        copy = nested(a.alphabet, a.labels)
+        fresh = canonical_run(copy, r)
+        assert [[m.key for m in s.members] for s in run] == [
+            [m.key for m in s.members] for s in fresh
+        ]
+        assert colors == chi_coloring(copy, r).colors
+
+    def test_one_overlap_pass_per_word_and_radius(self, monkeypatch):
+        radii = []
+        overlap_adjacency = sphere_automaton._overlap_adjacency
+
+        def counted(*args):
+            radii.append(args[1])
+            return overlap_adjacency(*args)
+
+        monkeypatch.setattr(sphere_automaton, "_overlap_adjacency", counted)
+        w = word16()
+        for r in (0, 1, 2):
+            chi_coloring(w, r)
+            canonical_run(w, r)
+        assert radii == [0, 1, 2]
 
     def test_degree_and_color_bounds(self):
         for w in (word10(), word16()):

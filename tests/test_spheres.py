@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import nwtk.spheres as sphere_module
 from nwtk.core import iter_token_tuples, nested
 from nwtk.errors import InvalidSphere, PositionOutOfRange, RadiusMismatch
-from nwtk.sphere_automaton import canonical_run
+from nwtk.sphere_automaton import canonical_run, chi_coloring
 from nwtk.spheres import (
     Sphere,
     enumerate_spheres,
@@ -393,17 +393,22 @@ class TestKeyCache:
         want = []
         for t in tokens:
             w = nested(S2C, t)
-            want.append({(i, r): sphere(w, i, r).key for i in w.positions() for r in (0, 1, 2)})
+            keys = {(i, r): sphere(w, i, r).key for i in w.positions() for r in (0, 1, 2)}
+            want.append((keys, {r: dict(chi_coloring(w, r).colors) for r in (0, 1, 2)}))
         start = threading.Barrier(len(tokens))
         wrong = []
 
         def work(t, expected):
+            keys, colors = expected
             start.wait(timeout=60)
             for _ in range(100):
                 w = nested(S2C, t)
-                for (i, r), key in expected.items():
+                for (i, r), key in keys.items():
                     if sphere_key(w, i, r) != key:
                         wrong.append((t, i, r))
+                for r, coloring in colors.items():
+                    if chi_coloring(w, r).colors != coloring:
+                        wrong.append((t, r))
 
         threads = [threading.Thread(target=work, args=pair) for pair in zip(tokens, want)]
         interval = sys.getswitchinterval()
