@@ -2,12 +2,15 @@
 
 States are sets of extended spheres: a sphere (the core), an active node
 and a color; a member's neighbours and distance are its core's at the
-active node.  Reading position i, a state collects, for every center
-within the radius, that center's sphere with the active node placed on i.
-Local transition conditions compare how active nodes move along successor
-and matching edges; colors (from an overlap coloring of the word) separate
-isomorphic spheres that lie close together, which pins every accepting
-run to the real sphere around each position.
+active node.  A member holds them in the index space of the core's ball
+record, so transition checks compare visiting indices and key triples,
+and a canonical run builds no ``Sphere`` until one is read.  Reading
+position i, a state collects, for every center within the radius, that
+center's sphere with the active node placed on i.  Local transition
+conditions compare how active nodes move along successor and matching
+edges; colors (from an overlap coloring of the word) separate isomorphic
+spheres that lie close together, which pins every accepting run to the
+real sphere around each position.
 
 Membership of a re-pointed sphere in a state is decided up to
 isomorphism via canonical keys.  In a valid state, members with
@@ -23,7 +26,7 @@ from types import MappingProxyType
 
 from .core import _bfs, _immutable, _slot_setters
 from .errors import InvalidState, LengthMismatch
-from .spheres import Sphere, _cached, _keys, sphere
+from .spheres import Sphere, _cached, _keys, _records, _sphere_of
 
 __all__ = [
     "ExtendedSphere",
@@ -40,31 +43,63 @@ __all__ = [
 
 
 class ExtendedSphere:
-    """A sphere (the core) with an active node and a color.  Its neighbours are
-    the core's at the active node, ``core.adj[active]``, and its distance is
-    ``core.dist[active]``; its key is (core key, the active node's index in
-    the core's visiting order, color)."""
+    """A sphere (the core) with an active node and a color, held in the
+    index space of the core's ball record (``index_of``, ``dist``, key):
+    ``nbrs`` are the visiting indices of the active node's successor-out,
+    successor-in, matching-out and matching-in neighbours (None where the
+    edge is absent or leaves the ball), ``dist`` is its distance from the
+    center, and the key is (core key, the active node's index, color).
 
-    __slots__ = ("core", "active", "color", "key")
+    The ``Sphere`` itself is built from the record on the first read of
+    ``core`` and kept (threads racing on that read may each build an equal
+    one; one is kept); ``active`` maps the index back to the node.  The
+    record is shared with the word's cache and other members: read only."""
+
+    __slots__ = ("record", "color", "key", "nbrs", "dist", "_core")
 
     def __init__(self, core: Sphere, active, color: int):
+        self._fill((core.index_of, core.dist, core.key), active, core.adj[active], color)
         _ExtendedSphere_core(self, core)
-        _ExtendedSphere_active(self, active)
+
+    def _fill(self, record, active, near, color: int):
+        """Set the fields from a ball record, the active node, its four
+        neighbours ``near`` (nodes outside the ball allowed) and the color;
+        returns the member."""
+        index_of, dist, key = record
+        k = index_of[active]
+        _ExtendedSphere_record(self, record)
         _ExtendedSphere_color(self, color)
-        _ExtendedSphere_key(self, (core.key, core.index_of[active], color))
+        _ExtendedSphere_key(self, (key, k, color))
+        _ExtendedSphere_nbrs(self, tuple(map(index_of.get, near)))
+        _ExtendedSphere_dist(self, dist[active])
+        return self
 
     __setattr__ = __delattr__ = _immutable
 
+    @property
+    def core(self) -> Sphere:
+        try:
+            return self._core
+        except AttributeError:
+            core = _sphere_of(self.record)
+            _ExtendedSphere_core(self, core)
+            return core
+
+    @property
+    def active(self):
+        return list(self.record[0])[self.key[1]]
+
     def key_at(self, node):
         """Key of the same sphere re-pointed to another active node."""
-        return (self.core.key, self.core.index_of[node], self.color)
+        return (self.key[0], self.record[0][node], self.color)
 
     def __repr__(self):
-        return f"ExtendedSphere(center={self.core.center}, active={self.active}, color={self.color})"
+        center = next(iter(self.record[0]))
+        return f"ExtendedSphere(center={center}, active={self.active}, color={self.color})"
 
 
-(_ExtendedSphere_core, _ExtendedSphere_active, _ExtendedSphere_color,
- _ExtendedSphere_key) = _slot_setters(ExtendedSphere)
+(_ExtendedSphere_record, _ExtendedSphere_color, _ExtendedSphere_key, _ExtendedSphere_nbrs,
+ _ExtendedSphere_dist, _ExtendedSphere_core) = _slot_setters(ExtendedSphere)
 
 
 class SphereState:
@@ -87,8 +122,8 @@ class SphereState:
             groups[key[0], key[2]] = key[1]
             if key[1] == 0:
                 centered += 1
-            labels.add(m.core.labels[m.active])
-            so, _, mo, _ = m.core.adj[m.active]
+            labels.add(key[0][1][key[1]])
+            so, _, mo, _ = m.nbrs
             if mo is not None:
                 final = False
                 calling = True
@@ -133,24 +168,22 @@ def _require_valid(*states):
 
 
 def _moves_land(src, slot, nxt, r) -> bool:
-    """Every member of ``src`` moves its active node along its core's edge in
-    ``slot`` of ``core.adj`` into ``nxt``: 0, successor out, for conditions
+    """Every member of ``src`` moves its active node along the edge in
+    ``slot`` of its ``nbrs`` into ``nxt``: 0, successor out, for conditions
     (5), (7) and (3); 2, matching out, for the primed ones."""
     nxt_keys = nxt.key
     nxt_groups = nxt.core_groups
     for e in src.members:
-        core = e.core
-        u = core.adj[e.active][slot]
+        core_key, _, color = e.key
+        u = e.nbrs[slot]
         if u is None:
-            if core.dist[e.active] != r:  # (5)
+            if e.dist != r:  # (5)
                 return False
-            u_idx = -1
-        else:
-            u_idx = core.index_of[u]
-            if (core.key, u_idx, e.color) not in nxt_keys:  # (7)
-                return False
+            u = -1
+        elif (core_key, u, color) not in nxt_keys:  # (7)
+            return False
         # nxt, valid, holds at most one member per (core, color)
-        if nxt_groups.get((core.key, e.color), u_idx) != u_idx:  # (3)
+        if nxt_groups.get((core_key, color), u) != u:  # (3)
             return False
     return True
 
@@ -168,23 +201,23 @@ def delta_allows(prev, matched, symbol, nxt) -> bool:
         return False
     if matched is not None and not (prev.members and matched.members):
         return False
-    r = nxt.members[0].core.radius
+    r = nxt.members[0].key[0][0]
     prev_nonempty = bool(prev.members)
     for e2 in nxt.members:
-        core = e2.core
-        _, si, _, mi = core.adj[e2.active]
+        core_key, _, color = e2.key
+        _, si, _, mi = e2.nbrs
         if si is None:
-            if prev_nonempty and core.dist[e2.active] != r:  # (4)
+            if prev_nonempty and e2.dist != r:  # (4)
                 return False
-        elif e2.key_at(si) not in prev.key:  # (6)
+        elif (core_key, si, color) not in prev.key:  # (6)
             return False
         if matched is None:
             if mi is not None:  # (1)
                 return False
         elif mi is None:
-            if core.dist[e2.active] != r:  # (4')
+            if e2.dist != r:  # (4')
                 return False
-        elif e2.key_at(mi) not in matched.key:  # (6')
+        elif (core_key, mi, color) not in matched.key:  # (6')
             return False
     return _moves_land(prev, 0, nxt, r) and (
         matched is None or _moves_land(matched, 2, nxt, r)
@@ -269,14 +302,17 @@ def canonical_run(word, r: int) -> list[SphereState]:
     """The intended accepting run: state i collects every sphere whose
     center lies within the radius of position i, re-pointed to i.  Colors
     come from ``chi_coloring``, so a coloring already cached for this word
-    and radius is read, not recomputed."""
-    spheres = [sphere(word, i, r) for i in word.positions()]
+    and radius is read, not recomputed.  Members are built over the word's
+    cached ball records; no ``Sphere`` is built until one is read."""
     colors = chi_coloring(word, r).colors
+    word_adj, records = _records(word, r)
     states = []
-    for i in word.positions():
+    for i, (centers, _, _) in enumerate(records, 1):
+        near = word_adj[i]
+        # i lies in the ball of every center in its own ball
         members = [
-            ExtendedSphere(spheres[ip - 1], i, colors[ip])
-            for ip in spheres[i - 1].nodes
+            ExtendedSphere.__new__(ExtendedSphere)._fill(records[c - 1], i, near, colors[c])
+            for c in centers
         ]
         states.append(SphereState(members))
     return states
@@ -295,7 +331,7 @@ def br_run_verify(word, r: int, run) -> bool:
     for state in run:
         if not state.valid or not state.members:
             return False
-        if state.members[0].core.radius != r:
+        if state.members[0].key[0][0] != r:
             return False
     labels = word.labels
     mu_inv = word.mu_inv

@@ -21,24 +21,32 @@ the search over the induced sphere.  The canonical key of a sphere is
 therefore read off one bounded pass over the word, without building the
 sphere first.
 
-That pass leaves one record per ball: its nodes in visiting order
-(``index_of``), their distances and its key.  One function, ``_ball``,
-traverses and encodes a word's ball and a ``Sphere`` alike.
-``sphere`` builds its sphere from the record, without the checks and the
-second traversal that ``Sphere(...)`` runs on a graph from a caller,
-since a ball cut from a ``NestedWord`` satisfies them by construction: it
-is connected and lies within radius r (every node was reached from the
-center in at most r steps), its edges join two nodes of the ball (the
-word's table restricted to the ball keeps only visited neighbours), and
-it has at most one edge of each kind per node (a word has one successor,
-one predecessor and at most one matching partner per position).
+That pass leaves one record per ball, ``(index_of, dist, key)``:
+``index_of`` numbers the ball's nodes in visiting order (the center is 0),
+``dist`` holds their distances in the same order, and the key is (r,
+labels in visiting order, edges as (i, j, kind) over those numbers, kind 0
+for a successor edge, else the stack tag).  The edges are listed sorted;
+since nodes are expanded in index order and each node's two out-edges are
+written smaller target first, the traversal emits them in that order and
+no sort is needed.  A radius-0 record is the center alone, with no
+traversal.  One function, ``_ball``, traverses and encodes a word's ball
+and a ``Sphere`` alike.  ``sphere`` builds its sphere from the record
+alone, without the checks and the second traversal that ``Sphere(...)``
+runs on a graph from a caller, since a ball cut from a ``NestedWord``
+satisfies them by construction: it is connected and lies within radius r
+(every node was reached from the center in at most r steps), its edges
+join two nodes of the ball (the key lists only edges between visited
+nodes), and it has at most one edge of each kind per node (a word has one
+successor, one predecessor and at most one matching partner per
+position).
 
 Each ball is traversed once per word, position and radius.  A one-word
 cache holds the most recent word (matched by identity; words are
 immutable), its neighbour table and labels and, per radius, the records
 of its positions, each filled in on first use, their key list once all
 are, and the overlap coloring that ``sphere_automaton.chi_coloring``
-computes from that key list; ``canonical_run`` reads its colors there.
+computes from that key list; ``canonical_run`` reads its colors and its
+members' records there.
 The word's entry and each record are written as one tuple, so threads
 working on different words only evict each other and recompute.
 """
@@ -174,19 +182,31 @@ def _ball(center, adj, stack_of, labels, r: int, limit: int):
     ``limit``: ``index_of`` (its nodes in visiting order, numbered), their
     distances, and the key (r, labels in visiting order, sorted (i, j, kind)
     edges, kind 0 for a successor edge, else the stack tag).  ``adj`` may
-    reach beyond the ball; ``labels[v]`` is the label of node v."""
+    reach beyond the ball; ``labels[v]`` is the label of node v.
+
+    Each node's out-edges are written after those of every earlier node,
+    the smaller target first and the successor edge first on a tie (both
+    edges of position 1 in ``a a~`` reach 2), which is their sorted order.
+    Only a word's ball is searched to depth 0 (``Sphere(...)`` searches to
+    its size), and a word has no self-loop: that ball is its center alone."""
+    if limit == 0:
+        return {center: 0}, {center: 0}, (r, (labels[center],), ())
     order, dist = _bfs(center, adj, limit)
     index_of = dict(zip(order, range(len(order))))
     edges = []
     for k, v in enumerate(order):
         so, _, mo, _ = adj[v]
         j = index_of.get(so)
-        if j is not None:
-            edges.append((k, j, 0))
-        j = index_of.get(mo)
-        if j is not None:
-            edges.append((k, j, stack_of[v]))
-    edges.sort()
+        m = index_of.get(mo)
+        if m is None:
+            if j is not None:
+                edges.append((k, j, 0))
+        elif j is None:
+            edges.append((k, m, stack_of[v]))
+        elif j <= m:
+            edges += ((k, j, 0), (k, m, stack_of[v]))
+        else:
+            edges += ((k, m, stack_of[v]), (k, j, 0))
     return index_of, dist, (r, tuple([labels[v] for v in order]), tuple(edges))
 
 
@@ -211,7 +231,7 @@ def _cached(word, r: int):
 
 
 def _record(word, i: int, r: int):
-    """Neighbour table, labels and the record of i's radius-r ball, filled on first use."""
+    """The record of i's radius-r ball, filled on first use."""
     n = len(word.labels)
     if not 1 <= i <= n:
         raise PositionOutOfRange(f"position {i} not in 1..{n}")
@@ -219,37 +239,69 @@ def _record(word, i: int, r: int):
     ball = slots[i - 1]
     if ball is None:
         ball = slots[i - 1] = _ball(i, adj, word._stack_of, labels, r, r)
-    return adj, labels, ball
+    return ball
+
+
+def _sphere_of(record) -> Sphere:
+    """The sphere a ball record describes, read from the record alone: its
+    nodes are the keys of ``index_of``, the center first, and its labels and
+    edges those of the key, mapped from visiting indices back to nodes.  The
+    sphere shares the record's ``index_of`` and ``dist`` dicts."""
+    index_of, dist, key = record
+    r, labels_in_order, edges = key
+    order = list(index_of)
+    _check_size(len(order), r)
+    nodes = tuple(sorted(order))
+    slots = {v: [None, None, None, None] for v in nodes}
+    succ = []
+    mu = []
+    for i, j, kind in edges:
+        u, v = order[i], order[j]
+        if kind:
+            slots[u][2] = v
+            slots[v][3] = u
+            mu.append((u, v, kind))
+        else:
+            slots[u][0] = v
+            slots[v][1] = u
+            succ.append((u, v))
+    succ.sort()
+    mu.sort()
+    adj = {v: tuple(a) for v, a in slots.items()}
+    labels = dict(zip(order, labels_in_order))
+    return Sphere.__new__(Sphere)._fill(
+        nodes, labels, tuple(succ), tuple(mu), order[0], r, adj, index_of, dist, key
+    )
 
 
 def sphere(word, i: int, r: int) -> Sphere:
     """Extract the radius-r sphere of a word around position i from its cached ball
     record, whose ``index_of`` and ``dist`` dicts it shares: neither may be changed."""
-    word_adj, word_labels, (index_of, dist, key) = _record(word, i, r)
-    _check_size(len(index_of), r)
-    nodes = tuple(sorted(index_of))
-    adj = {v: tuple([u if u in dist else None for u in word_adj[v]]) for v in nodes}
-    labels = {v: word_labels[v] for v in index_of}
-    succ = tuple([(v, adj[v][0]) for v in nodes if adj[v][0] is not None])
-    mu = tuple([(v, adj[v][2], word._stack_of[v]) for v in nodes if adj[v][2] is not None])
-    return Sphere.__new__(Sphere)._fill(nodes, labels, succ, mu, i, r, adj, index_of, dist, key)
+    return _sphere_of(_record(word, i, r))
+
+
+def _records(word, r: int):
+    """The word's neighbour table and the radius-r records of all its positions,
+    position 1 first, each filled in on first use."""
+    adj, labels, slots, _, _ = _cached(word, r)
+    for i, ball in enumerate(slots, 1):
+        if ball is None:
+            slots[i - 1] = _ball(i, adj, word._stack_of, labels, r, r)
+    return adj, slots
 
 
 def _keys(word, r: int) -> list:
     """Keys of every position at radius r, position 1 first: the cache's own list, built once."""
-    adj, labels, slots, key_lists, _ = _cached(word, r)
+    key_lists = _cached(word, r)[3]
     keys = key_lists.get(r)
     if keys is None:
-        for i, ball in enumerate(slots, 1):
-            if ball is None:
-                slots[i - 1] = _ball(i, adj, word._stack_of, labels, r, r)
-        keys = key_lists[r] = [ball[2] for ball in slots]
+        keys = key_lists[r] = [ball[2] for ball in _records(word, r)[1]]
     return keys
 
 
 def sphere_key(word, i: int, r: int):
     """Canonical key of ``sphere(word, i, r)``; equal keys mean isomorphic spheres."""
-    return _record(word, i, r)[2][2]
+    return _record(word, i, r)[2]
 
 
 def sphere_iso(a: Sphere, b: Sphere) -> bool:

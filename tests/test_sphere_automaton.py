@@ -17,7 +17,7 @@ from nwtk.sphere_automaton import (
     delta_allows,
     eta,
 )
-from nwtk.spheres import max_size_bound, sphere, sphere_iso, sphere_key
+from nwtk.spheres import Sphere, max_size_bound, sphere, sphere_iso, sphere_key
 
 from fixtures import S2, S2C, S3, word10, word16
 
@@ -320,6 +320,32 @@ class TestCanonicalRun:
             with pytest.raises(AttributeError):
                 delattr(value, name)
         assert state.valid and member.core.radius == 1
+
+    def test_members_build_their_sphere_on_first_read(self):
+        """A member holds its ball record; ``core`` is that ball's sphere, built
+        once, and ``active`` is the position of the member's state."""
+
+        def fields(s):
+            return [getattr(s, name) for name in Sphere.__slots__] + [
+                list(s.index_of), list(s.dist)]
+
+        for w in (word10(), word16()):
+            for r in (0, 1, 2):
+                colors = chi_coloring(w, r).colors
+                for i, state in enumerate(canonical_run(w, r), 1):
+                    centers = []
+                    for m in state.members:
+                        core = m.core
+                        want = sphere(w, core.center, r)
+                        assert fields(core) == fields(want)
+                        assert m.core is core
+                        assert m.active == i
+                        assert m.key == (want.key, want.index_of[i], colors[core.center])
+                        for name in ("core", "active"):
+                            with pytest.raises(AttributeError):
+                                setattr(m, name, None)
+                        centers.append(core.center)
+                    assert sorted(centers) == list(sphere(w, i, r).nodes)
 
     def test_edge_walk_stays_inside_the_run(self):
         # every member's active-node edge leads to a position whose state

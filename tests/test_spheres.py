@@ -250,6 +250,43 @@ class TestFastKey:
             assert sphere_key(w, i, r) == sphere(w, i, r).key
 
 
+def _sorted_key(w, s):
+    """The key of ``s = sphere(w, i, r)`` rebuilt apart from the key pass: its
+    labels and edges are read from the word, checked against ``s.nodes``,
+    ``s.succ`` and ``s.mu``, numbered in the visiting order and sorted."""
+    order = list(s.index_of)
+    index = {v: k for k, v in enumerate(order)}
+    succ = [(v, v + 1) for v in s.nodes if v + 1 in index]
+    mu = [(i, j, st) for i, j, st in w.matches() if i in index and j in index]
+    assert sorted(order) == list(s.nodes)
+    assert s.succ == tuple(succ) and s.mu == tuple(mu)
+    edges = [(index[i], index[j], 0) for i, j in succ]
+    edges += [(index[i], index[j], st) for i, j, st in mu]
+    return (s.radius, tuple([w.labels[v - 1] for v in order]), tuple(sorted(edges)))
+
+
+class TestSortFreeKey:
+    """The key pass writes each node's edges in order instead of sorting them;
+    the key must equal one whose edges are sorted explicitly."""
+
+    def test_successor_edge_first_on_a_tie(self):
+        # in "a a~" both edges of position 1 reach position 2
+        w = nested(S2, ("a", "a~"))
+        assert sphere_key(w, 1, 1) == (1, ("a", "a~"), ((0, 1, 0), (0, 1, 1)))
+        assert sphere_key(w, 2, 1) == (1, ("a~", "a"), ((1, 0, 0), (1, 0, 1)))
+        for i in w.positions():
+            assert sphere_key(w, i, 1) == _sorted_key(w, sphere(w, i, 1))
+
+    def test_matches_sorted_key_exhaustively(self):
+        for alphabet, max_len in ((S2, 7), (S2C, 6)):
+            for tokens in iter_token_tuples(alphabet, max_len):
+                w = nested(alphabet, tokens)
+                for r in (0, 1, 2, 3):
+                    for i in w.positions():
+                        want = _sorted_key(w, sphere(w, i, r))
+                        assert sphere_key(w, i, r) == want, (tokens, i, r)
+
+
 def _fields(s):
     """Every slot of a sphere, with the visiting order held by index_of and dist."""
     return [getattr(s, name) for name in Sphere.__slots__] + [list(s.index_of), list(s.dist)]
@@ -439,27 +476,42 @@ class TestKeyCache:
         assert calls == [10]
 
     def test_one_traversal_per_ball(self, monkeypatch):
-        """The key pass and ``sphere`` share each ball's one traversal."""
-        bfs = sphere_module._bfs
-        calls = []
+        """The key pass, ``canonical_run``, its members' cores and ``sphere``
+        share each ball's one record; a radius-0 record needs no traversal."""
+        ball, bfs = sphere_module._ball, sphere_module._bfs
+        balls, searches = [], []
+
+        def counting_ball(center, adj, stack_of, labels, r, limit):
+            balls.append((center, limit))
+            return ball(center, adj, stack_of, labels, r, limit)
 
         def counting_bfs(center, adj, limit):
-            calls.append((center, limit))
+            searches.append((center, limit))
             return bfs(center, adj, limit)
 
+        monkeypatch.setattr(sphere_module, "_ball", counting_ball)
         monkeypatch.setattr(sphere_module, "_bfs", counting_bfs)
         w = word16()
         for r in (0, 1, 2):
-            calls.clear()
-            canonical_run(w, r)
-            assert sorted(calls) == [(i, r) for i in w.positions()]
+            balls.clear()
+            searches.clear()
+            run = canonical_run(w, r)
+            assert sorted(balls) == [(i, r) for i in w.positions()]
+            assert sorted(searches) == ([] if r == 0 else sorted(balls))
+            balls.clear()
+            searches.clear()
+            for state in run:
+                for m in state.members:
+                    m.core
+            assert balls == searches == []
         w = word16()
         for r in (0, 1, 2):
             for i in w.positions():
                 sphere_key(w, i, r)
-                calls.clear()
+                balls.clear()
+                searches.clear()
                 sphere(w, i, r)
-                assert calls == []
+                assert balls == searches == []
 
 
 def test_spheres_are_immutable():
