@@ -58,7 +58,7 @@ class ExtendedSphere:
     __slots__ = ("record", "color", "key", "nbrs", "dist", "_core")
 
     def __init__(self, core: Sphere, active, color: int):
-        self._fill((core.index_of, core.dist, core.key), active, core.adj[active], color)
+        self._fill(core.record, active, core.adj[active], color)
         _ExtendedSphere_core(self, core)
 
     def _fill(self, record, active, near, color: int):

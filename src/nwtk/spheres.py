@@ -6,12 +6,13 @@ alike.  Spheres are compared up to isomorphism that fixes the center.
 
 Every node carries at most one edge of each kind (successor out/in,
 matching out/in), so its neighbours fit one four-slot tuple, None where
-an edge is absent.  A word's table (``core._word_adj``) and a sphere's
-(``Sphere.adj``) hold these tuples, and one breadth-first traversal,
-``core._bfs``, reads either.  Expanding the slots in a fixed order visits
-nodes in an order any isomorphic sphere reproduces exactly.  That order
-yields a canonical form in linear time; no search over bijections is
-needed, and the traversal level of a node is its distance from the center.
+an edge is absent.  A word's table (``core._word_adj``) and the table
+``Sphere(...)`` builds from a caller's graph hold these tuples, and one
+breadth-first traversal, ``core._bfs``, reads either.  Expanding the
+slots in a fixed order visits nodes in an order any isomorphic sphere
+reproduces exactly.  That order yields a canonical form in linear time;
+no search over bijections is needed, and the traversal level of a node
+is its distance from the center.
 
 The same traversal serves a word and a sphere cut out of it.  Every
 shortest path from the center to a node within distance r stays inside
@@ -30,15 +31,21 @@ since nodes are expanded in index order and each node's two out-edges are
 written smaller target first, the traversal emits them in that order and
 no sort is needed.  A radius-0 record is the center alone, with no
 traversal.  One function, ``_ball``, traverses and encodes a word's ball
-and a ``Sphere`` alike.  ``sphere`` builds its sphere from the record
-alone, without the checks and the second traversal that ``Sphere(...)``
-runs on a graph from a caller, since a ball cut from a ``NestedWord``
+and a ``Sphere`` alike.
+
+A ``Sphere`` stores its record and nothing else.  Its nodes are the keys
+of ``index_of`` (the center first), and its labels and edges are the
+key's, mapped from visiting indices back to nodes, so no field can
+disagree with the key.  ``Sphere(...)`` checks a graph from a caller and
+keeps the record of its one traversal.  ``sphere`` wraps a word's cached
+record without those checks, since a ball cut from a ``NestedWord``
 satisfies them by construction: it is connected and lies within radius r
 (every node was reached from the center in at most r steps), its edges
 join two nodes of the ball (the key lists only edges between visited
-nodes), and it has at most one edge of each kind per node (a word has one
+nodes), it has at most one edge of each kind per node (a word has one
 successor, one predecessor and at most one matching partner per
-position).
+position), so it is within the size bound, and each successor edge joins
+v to v + 1 and each matching edge a call to a later return.
 
 Each ball is traversed once per word, position and radius.  A one-word
 cache holds the most recent word (matched by identity; words are
@@ -82,26 +89,18 @@ def max_size_bound(radius: int) -> int:
 class Sphere:
     """An induced neighborhood with a distinguished center.
 
-    ``nodes`` keep their original identities (word positions when the
-    sphere was extracted from a word).  ``succ`` holds directed successor
-    pairs, ``mu`` directed matching triples (call, return, stack).  ``adj``
-    maps each node to its successor-out, successor-in, matching-out and
-    matching-in neighbour, None where that edge is absent; stack tags are
-    read from ``mu``.
+    A sphere is its ball record ``(index_of, dist, key)``, the one value it
+    stores; every other field is read off the record.  ``nodes`` keep their
+    original identities (word positions when the sphere was extracted from a
+    word).  ``succ`` holds directed successor pairs, ``mu`` directed matching
+    triples (call, return, stack).  ``adj`` maps each node to its
+    successor-out, successor-in, matching-out and matching-in neighbour,
+    None where that edge is absent; stack tags are read from ``mu``.
+    ``labels``, ``adj``, ``succ`` and ``mu`` are built on each read;
+    ``index_of`` and ``dist`` are the record's own dicts: read only.
     """
 
-    __slots__ = (
-        "nodes",
-        "labels",
-        "succ",
-        "mu",
-        "center",
-        "radius",
-        "adj",
-        "index_of",
-        "dist",
-        "key",
-    )
+    __slots__ = ("record",)
 
     def __init__(self, nodes, labels, succ, mu, center, radius):
         nodes = tuple(sorted(nodes))
@@ -111,13 +110,15 @@ class Sphere:
         if radius < 0:
             raise InvalidSphere("radius must be non-negative")
         _check_size(len(nodes), radius)
-        succ = tuple(sorted(succ))
-        mu = tuple(sorted(mu))
+        succ = sorted(succ)
+        mu = sorted(mu)
         for i, j in succ:
             if i not in slots or j not in slots:
                 raise InvalidSphere(f"successor edge ({i}, {j}) leaves the node set")
             if slots[i][0] is not None or slots[j][1] is not None:
                 raise InvalidSphere("a node has two successor edges of one kind")
+            if j != i + 1:
+                raise InvalidSphere(f"successor edge ({i}, {j}) does not join v to v + 1")
             slots[i][0] = j
             slots[j][1] = i
         for i, j, s in mu:
@@ -125,6 +126,8 @@ class Sphere:
                 raise InvalidSphere(f"matching edge ({i}, {j}) leaves the node set")
             if slots[i][2:] != [None, None] or slots[j][2:] != [None, None]:
                 raise InvalidSphere("a node is matched twice")
+            if not i < j:
+                raise InvalidSphere(f"matching edge ({i}, {j}) does not return after its call")
             if s < 1:
                 raise InvalidSphere("stack tags are 1-based")
             slots[i][2] = j
@@ -135,39 +138,76 @@ class Sphere:
         adj = {v: tuple(a) for v, a in slots.items()}
         stack_of = {i: s for i, _, s in mu}
         # canonical traversal; doubles as the connectivity and radius check
-        index_of, dist, key = _ball(center, adj, stack_of, labels, radius, len(nodes))
+        record = _ball(center, adj, stack_of, labels, radius, len(nodes))
+        index_of, dist, _ = record
         if len(index_of) != len(nodes):
             raise InvalidSphere("sphere is not connected to its center")
         if max(dist.values()) > radius:
             raise InvalidSphere("a node lies farther from the center than the radius")
-        self._fill(nodes, labels, succ, mu, center, radius, adj, index_of, dist, key)
-
-    def _fill(self, nodes, labels, succ, mu, center, radius, adj, index_of, dist, key):
-        """Set every field from a checked graph and its ball record; returns the sphere."""
-        _Sphere_nodes(self, nodes)
-        _Sphere_labels(self, labels)
-        _Sphere_succ(self, succ)
-        _Sphere_mu(self, mu)
-        _Sphere_center(self, center)
-        _Sphere_radius(self, radius)
-        _Sphere_adj(self, adj)
-        _Sphere_index_of(self, index_of)
-        _Sphere_dist(self, dist)
-        _Sphere_key(self, key)
-        return self
+        _Sphere_record(self, record)
 
     __setattr__ = __delattr__ = _immutable
 
+    @property
+    def index_of(self) -> dict:
+        return self.record[0]
+
+    @property
+    def dist(self) -> dict:
+        return self.record[1]
+
+    @property
+    def key(self) -> tuple:
+        return self.record[2]
+
+    @property
+    def radius(self) -> int:
+        return self.record[2][0]
+
+    @property
+    def center(self):
+        return next(iter(self.record[0]))
+
+    @property
+    def nodes(self) -> tuple:
+        return tuple(sorted(self.record[0]))
+
+    @property
+    def labels(self) -> dict:
+        return dict(zip(self.record[0], self.record[2][1]))
+
+    def _edges(self):
+        """The key's edges as (u, v, kind) over nodes instead of visiting indices."""
+        order = list(self.record[0])
+        return [(order[i], order[j], kind) for i, j, kind in self.record[2][2]]
+
+    @property
+    def succ(self) -> tuple:
+        return tuple(sorted([(u, v) for u, v, kind in self._edges() if not kind]))
+
+    @property
+    def mu(self) -> tuple:
+        return tuple(sorted([edge for edge in self._edges() if edge[2]]))
+
+    @property
+    def adj(self) -> dict:
+        slots = {v: [None, None, None, None] for v in self.nodes}
+        for u, v, kind in self._edges():
+            out = 2 if kind else 0
+            slots[u][out] = v
+            slots[v][out + 1] = u
+        return {v: tuple(a) for v, a in slots.items()}
+
     def size(self) -> int:
-        return len(self.nodes)
+        return len(self.record[0])
 
     def __repr__(self):
-        parts = " ".join(f"{v}:{self.labels[v]}" for v in self.nodes)
+        labels = self.labels
+        parts = " ".join(f"{v}:{labels[v]}" for v in self.nodes)
         return f"Sphere(r={self.radius}, center={self.center}, {parts})"
 
 
-(_Sphere_nodes, _Sphere_labels, _Sphere_succ, _Sphere_mu, _Sphere_center, _Sphere_radius,
- _Sphere_adj, _Sphere_index_of, _Sphere_dist, _Sphere_key) = _slot_setters(Sphere)
+(_Sphere_record,) = _slot_setters(Sphere)
 
 
 def _check_size(size: int, radius: int):
@@ -243,35 +283,11 @@ def _record(word, i: int, r: int):
 
 
 def _sphere_of(record) -> Sphere:
-    """The sphere a ball record describes, read from the record alone: its
-    nodes are the keys of ``index_of``, the center first, and its labels and
-    edges those of the key, mapped from visiting indices back to nodes.  The
-    sphere shares the record's ``index_of`` and ``dist`` dicts."""
-    index_of, dist, key = record
-    r, labels_in_order, edges = key
-    order = list(index_of)
-    _check_size(len(order), r)
-    nodes = tuple(sorted(order))
-    slots = {v: [None, None, None, None] for v in nodes}
-    succ = []
-    mu = []
-    for i, j, kind in edges:
-        u, v = order[i], order[j]
-        if kind:
-            slots[u][2] = v
-            slots[v][3] = u
-            mu.append((u, v, kind))
-        else:
-            slots[u][0] = v
-            slots[v][1] = u
-            succ.append((u, v))
-    succ.sort()
-    mu.sort()
-    adj = {v: tuple(a) for v, a in slots.items()}
-    labels = dict(zip(order, labels_in_order))
-    return Sphere.__new__(Sphere)._fill(
-        nodes, labels, tuple(succ), tuple(mu), order[0], r, adj, index_of, dist, key
-    )
+    """The sphere a ball record cut from a word describes: the record itself,
+    without the checks and the traversal that ``Sphere(...)`` runs."""
+    s = Sphere.__new__(Sphere)
+    _Sphere_record(s, record)
+    return s
 
 
 def sphere(word, i: int, r: int) -> Sphere:
@@ -334,8 +350,9 @@ def enumerate_spheres(alphabet, r: int, max_len: int):
 
 
 def sphere_to_json(s: Sphere) -> dict:
+    labels = s.labels
     return {
-        "nodes": [{"id": v, "label": s.labels[v]} for v in s.nodes],
+        "nodes": [{"id": v, "label": labels[v]} for v in s.nodes],
         "succ": [[i, j] for i, j in s.succ],
         "match": [[i, j, st] for i, j, st in s.mu],
         "center": s.center,
@@ -388,9 +405,10 @@ def sphere_from_json(data) -> Sphere:
 def sphere_to_dot(s: Sphere, name: str = "sphere") -> str:
     """Graphviz rendering; the center is drawn as a rectangle."""
     lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=circle];"]
+    labels, center = s.labels, s.center
     for v in s.nodes:
-        shape = ", shape=box" if v == s.center else ""
-        lines.append(f'  n{v} [label="{v}:{s.labels[v]}"{shape}];')
+        shape = ", shape=box" if v == center else ""
+        lines.append(f'  n{v} [label="{v}:{labels[v]}"{shape}];')
     for i, j in s.succ:
         lines.append(f"  n{i} -> n{j};")
     for i, j, st in s.mu:

@@ -16,6 +16,10 @@ S3 = CallReturnAlphabet(
     ((("a",), ("a~",)), (("b",), ("b~",)), (("c",), ("c~",)))
 )
 
+# every public field of a Sphere
+SPHERE_FIELDS = ("nodes", "labels", "succ", "mu", "center", "radius", "adj", "index_of",
+                 "dist", "key")
+
 # the running-example word: (ab)^2 a~^3 b~^3
 WORD10 = "a b a b a~ a~ a~ b~ b~ b~"
 

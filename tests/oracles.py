@@ -351,6 +351,7 @@ def sphere_iso_forced(s1, s2) -> bool:
         return succ_out, succ_in, mu_out, mu_in
 
     maps1, maps2 = edge_maps(s1), edge_maps(s2)
+    labels1, labels2 = s1.labels, s2.labels
 
     def ends(maps, v):
         succ_out, succ_in, mu_out, mu_in = maps
@@ -370,7 +371,7 @@ def sphere_iso_forced(s1, s2) -> bool:
     while work:
         u = work.pop()
         v = mapping[u]
-        if s1.labels[u] != s2.labels[v]:
+        if labels1[u] != labels2[v]:
             return False
         e1 = ends(maps1, u)
         e2 = ends(maps2, v)

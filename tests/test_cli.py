@@ -645,8 +645,25 @@ def _stray_node(draw, data):
     return True
 
 
+def _backward_successor(draw, data):
+    # written larger id first, not swapped, so a second edit keeps it backward
+    rows = data["succ"]
+    if rows:
+        row = draw(st.sampled_from(rows))
+        row.sort(reverse=True)
+    return bool(rows)
+
+
+def _self_loop(draw, data):
+    rows = _sphere_rows(draw, data)
+    if rows:
+        row = draw(st.sampled_from(rows))
+        row[1] = row[0]
+    return bool(rows)
+
+
 SPHERE_BREAKS = (_duplicate_row, _absent_endpoint, _stack_tag_zero, _absent_center,
-                 _negative_radius, _stray_node)
+                 _negative_radius, _stray_node, _backward_successor, _self_loop)
 
 
 @st.composite

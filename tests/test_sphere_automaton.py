@@ -17,9 +17,9 @@ from nwtk.sphere_automaton import (
     delta_allows,
     eta,
 )
-from nwtk.spheres import Sphere, max_size_bound, sphere, sphere_iso, sphere_key
+from nwtk.spheres import max_size_bound, sphere, sphere_iso, sphere_key
 
-from fixtures import S2, S2C, S3, word10, word16
+from fixtures import S2, S2C, S3, SPHERE_FIELDS, word10, word16
 
 
 def singleton_state(symbol, color=1):
@@ -326,7 +326,7 @@ class TestCanonicalRun:
         once, and ``active`` is the position of the member's state."""
 
         def fields(s):
-            return [getattr(s, name) for name in Sphere.__slots__] + [
+            return [getattr(s, name) for name in SPHERE_FIELDS] + [
                 list(s.index_of), list(s.dist)]
 
         for w in (word10(), word16()):

@@ -1,5 +1,6 @@
 """Sphere extraction, isomorphism, counting, and enumeration."""
 
+import copy
 import sys
 import threading
 
@@ -23,7 +24,8 @@ from nwtk.spheres import (
     sphere_to_json,
 )
 
-from fixtures import S2, S2C, S3, word10, word16
+from fixtures import S2, S2C, S3, SPHERE_FIELDS, word10, word16
+from oracles import distances_by_search
 
 
 def abar4():
@@ -175,15 +177,15 @@ class TestSizeBound:
 
 class TestConstructionChecks:
     def test_center_must_be_a_node(self):
-        with pytest.raises(InvalidSphere):
+        with pytest.raises(InvalidSphere, match="is not a node"):
             Sphere((1, 2), {1: "a", 2: "a~"}, ((1, 2),), (), 3, 1)
 
     def test_labels_must_cover(self):
-        with pytest.raises(InvalidSphere):
+        with pytest.raises(InvalidSphere, match="labels must cover"):
             Sphere((1, 2), {1: "a"}, ((1, 2),), (), 1, 1)
 
     def test_double_successor(self):
-        with pytest.raises(InvalidSphere):
+        with pytest.raises(InvalidSphere, match="two successor edges"):
             Sphere(
                 (1, 2, 3),
                 {1: "a", 2: "a", 3: "a"},
@@ -194,7 +196,7 @@ class TestConstructionChecks:
             )
 
     def test_double_matching(self):
-        with pytest.raises(InvalidSphere):
+        with pytest.raises(InvalidSphere, match="matched twice"):
             Sphere(
                 (1, 2, 3),
                 {1: "a", 2: "a~", 3: "a~"},
@@ -205,11 +207,11 @@ class TestConstructionChecks:
             )
 
     def test_disconnected(self):
-        with pytest.raises(InvalidSphere):
+        with pytest.raises(InvalidSphere, match="not connected"):
             Sphere((1, 2), {1: "a", 2: "a~"}, (), (), 1, 1)
 
     def test_radius_exceeded(self):
-        with pytest.raises(InvalidSphere):
+        with pytest.raises(InvalidSphere, match="farther from the center"):
             Sphere(
                 (1, 2, 3),
                 {1: "a", 2: "a", 3: "a"},
@@ -223,12 +225,32 @@ class TestConstructionChecks:
         nodes = tuple(range(1, 7))
         labels = {v: "a" for v in nodes}
         succ = tuple((v, v + 1) for v in range(1, 6))
-        with pytest.raises(InvalidSphere):
+        with pytest.raises(InvalidSphere, match="size bound"):
             Sphere(nodes, labels, succ, (), 1, 1)
 
     def test_stack_tags_are_one_based(self):
-        with pytest.raises(InvalidSphere):
+        with pytest.raises(InvalidSphere, match="1-based"):
             Sphere((1, 2), {1: "a", 2: "a~"}, ((1, 2),), ((1, 2, 0),), 1, 1)
+
+    def test_successor_self_loop(self):
+        with pytest.raises(InvalidSphere, match=r"v to v \+ 1"):
+            Sphere((1,), {1: "a"}, ((1, 1),), (), 1, 0)
+
+    def test_successor_edge_against_the_matching_edge(self):
+        data = {
+            "nodes": [{"id": 1, "label": "a"}, {"id": 2, "label": "a~"}],
+            "succ": [[2, 1]],
+            "match": [[1, 2, 1]],
+            "center": 1,
+            "radius": 1,
+        }
+        with pytest.raises(InvalidSphere, match=r"v to v \+ 1"):
+            sphere_from_json(data)
+
+    def test_matching_edge_returns_after_its_call(self):
+        for mu in (((2, 1, 1),), ((1, 1, 1),)):
+            with pytest.raises(InvalidSphere, match="return after its call"):
+                Sphere((1, 2), {1: "a~", 2: "a"}, ((1, 2),), mu, 1, 1)
 
 
 class TestFastKey:
@@ -288,8 +310,8 @@ class TestSortFreeKey:
 
 
 def _fields(s):
-    """Every slot of a sphere, with the visiting order held by index_of and dist."""
-    return [getattr(s, name) for name in Sphere.__slots__] + [list(s.index_of), list(s.dist)]
+    """Every public field of a sphere, with the visiting order held by index_of and dist."""
+    return [getattr(s, name) for name in SPHERE_FIELDS] + [list(s.index_of), list(s.dist)]
 
 
 class TestSphereFromWord:
@@ -318,6 +340,38 @@ class TestSphereFromWord:
                         assert _fields(built) == fields, (tokens, i, r)
                         again = sphere_from_json(sphere_to_json(s))
                         assert _fields(again) == fields, (tokens, i, r)
+
+    def test_matches_the_word_graph(self):
+        """``Sphere(...)`` over a ball's own graph, read from the word alone,
+        hands that graph back and has the key of the word's ball."""
+        for alphabet, max_len in self.CORPORA:
+            for tokens in iter_token_tuples(alphabet, max_len):
+                w = nested(alphabet, tokens)
+                dist = distances_by_search(alphabet, tokens)
+                for i in w.positions():
+                    for r in (0, 1, 2, 3):
+                        nodes = [v for v in w.positions() if dist[i, v] <= r]
+                        labels = {v: w.labels[v - 1] for v in nodes}
+                        succ = [(v, v + 1) for v in nodes if v + 1 in labels]
+                        mu = [m for m in w.matches() if m[0] in labels and m[1] in labels]
+                        s = Sphere(nodes, labels, succ, mu, i, r)
+                        assert s.nodes == tuple(nodes) and s.labels == labels, (tokens, i, r)
+                        assert s.succ == tuple(succ) and s.mu == tuple(mu), (tokens, i, r)
+                        assert s.key == sphere_key(w, i, r), (tokens, i, r)
+
+    def test_handed_out_containers_are_the_callers_own(self):
+        w = word16()
+        for r in (0, 1, 2):
+            for i in w.positions():
+                s = sphere(w, i, r)
+                want = copy.deepcopy(_fields(s))
+                labels, adj = s.labels, s.adj
+                labels[i] = "z"
+                labels[0] = "z"
+                adj[i] = (0, 0, 0, 0)
+                adj[0] = (i, None, None, None)
+                assert _fields(s) == want
+                assert _fields(sphere(w, i, r)) == want
 
     def test_one_traversal_per_sphere(self, monkeypatch):
         bfs = sphere_module._bfs
