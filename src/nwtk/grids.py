@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CallReturnAlphabet, NestedWord, nested
+from .core import CallReturnAlphabet, NestedWord, _immutable, _slot_setters, nested
 from .errors import AlphabetMismatch, BoundsExceeded, UnknownSymbol
 from .logic import (
     And,
@@ -62,8 +62,10 @@ class Grid:
     def __init__(self, n: int, m: int):
         if n < 1 or m < 1:
             raise BoundsExceeded("grids need at least one row and column")
-        self.n = n
-        self.m = m
+        _Grid_n(self, n)
+        _Grid_m(self, m)
+
+    __setattr__ = __delattr__ = _immutable
 
     def universe(self):
         return [(i, j) for j in range(1, self.m + 1) for i in range(1, self.n + 1)]
@@ -96,6 +98,9 @@ class Grid:
 
     def __repr__(self):
         return f"Grid({self.n}, {self.m})"
+
+
+_Grid_n, _Grid_m = _slot_setters(Grid)
 
 
 @dataclass(frozen=True)

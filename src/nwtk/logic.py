@@ -11,6 +11,15 @@ element or a set of elements of the structure.  Set quantification
 enumerates all subsets, so it is capped by a configurable universe size and
 refuses larger inputs loudly, when evaluation reaches it.
 
+A first-order quantifier over z is guarded when its body evaluates a binary
+relation R on z and another variable x first, and R's falsity decides the
+body: ∃z (R(x, z) ∧ φ), ∃z R(z, x), ∀z (R(x, z) → φ) and their nestings.
+Such a quantifier tries only the values v with R(env[x], v) (or R(v,
+env[x])), listed by one universe scan per value of x and kept as long as
+the compiled closure.  So a structure's ``has`` must be a pure function of
+``(name, args)``: the same arguments give the same answer, or raise the
+same error, for as long as a compiled closure lives.
+
 Counting constraints are positive Boolean combinations of threshold
 atoms over spheres.  Their compiled form is a decision procedure: it
 extracts every position's sphere, counts realizations with a counter
@@ -156,7 +165,10 @@ def _compile(f, structure, sorts):
     A closure evaluates lazily, left to right: an unknown relation or an
     oversized set quantifier raises only when evaluation reaches it.
     Quantifiers rebind their variable in the dict and restore it before
-    they return; on an exception they leave it changed.
+    they return; on an exception they leave it changed.  A guarded
+    quantifier (see ``_guard``) evaluates its whole body on each witness of
+    its guard only; it lists the witnesses once per closure and value of the
+    guard's other variable, which relies on ``has`` being a pure function.
     """
     if isinstance(f, Rel):
         name, args = f.name, f.args
@@ -212,15 +224,20 @@ def _check_sort(head, sorts, var, is_set):
 def _quantifier(var, body, structure, sorts, second_order=False, universal=False):
     """Compile a quantifier over ``var``: existential, or universal with
     ``body`` the formula that must hold for every value.  Either stops at
-    the first value that decides it."""
+    the first value that decides it.  A guarded first-order quantifier
+    tries only its guard's witnesses."""
     free, run = _compile(body, structure, {**sorts, var: second_order})
-    _, universe, so_limit = structure
-    values = _subsets(universe, so_limit) if second_order else lambda: universe
+    has, universe, so_limit = structure
+    if second_order:
+        values = _subsets(universe, so_limit)
+    else:
+        guard = _guard(var, body, universal)
+        values = _witnesses(has, universe, *guard) if guard else lambda env: universe
 
     def quantify(env):
         saved = env.get(var, _UNSET)
         holds = universal
-        for value in values():
+        for value in values(env):
             env[var] = value
             if (not run(env)) is universal:
                 holds = not universal
@@ -228,6 +245,53 @@ def _quantifier(var, body, structure, sorts, second_order=False, universal=False
         _restore(env, var, saved)
         return holds
     return free - {var}, quantify
+
+
+def _guard(var, body, universal):
+    """The guard of a first-order quantifier over ``var``, as ``(name, x,
+    var_first)``, or None.
+
+    The guard is a relation ``Rel(name, (x, var))`` or ``Rel(name, (var,
+    x))``, x another variable, that ``body`` evaluates first and whose
+    falsity decides ``body`` the way that makes the quantifier go on to the
+    next value: false for an existential, true for a universal.  Walking
+    down ``Not`` flips the value sought, and a true value may be read off
+    an ``Or``'s left side.  So ∃z (R ∧ φ), ∃z R, ∀z (R → φ) and ¬∃z (R ∧ φ)
+    are guarded by R, also when R is the leftmost of nested conjuncts."""
+    decides = universal
+    while True:
+        if isinstance(body, Not):
+            body, decides = body.body, not decides
+        elif isinstance(body, Or) and decides:
+            body = body.left
+        else:
+            break
+    if decides or not isinstance(body, Rel) or len(body.args) != 2:
+        return None
+    a, b = body.args
+    if a == b or var not in (a, b):
+        return None
+    return (body.name, b, True) if a == var else (body.name, a, False)
+
+
+def _witnesses(has, universe, name, x, var_first):
+    """The values of a guarded quantifier: the elements v, in universe
+    order, with ``has(name, (v, env[x]))`` (``var_first``) or ``has(name,
+    (env[x], v))``.  They are listed by one universe scan per value of x,
+    on first use, and kept as long as the compiled closure."""
+    index = {}
+
+    def values(env):
+        key = env[x]
+        found = index.get(key)
+        if found is None:
+            if var_first:
+                found = [v for v in universe if has(name, (v, key))]
+            else:
+                found = [v for v in universe if has(name, (key, v))]
+            index[key] = found
+        return found
+    return values
 
 
 def _restore(env, var, saved):
@@ -241,7 +305,7 @@ def _subsets(universe, so_limit):
     """The values of a set variable, enumerated when the quantifier is
     reached; the cap is checked there too."""
 
-    def values():
+    def values(env):
         n = len(universe)
         if n > so_limit:
             raise WordTooLargeForSO(
@@ -266,7 +330,10 @@ def _bind(structure, formula, sorts, so_limit: int = DEFAULT_SO_LIMIT):
 
 def eval(structure, formula, env=None, so_limit: int = DEFAULT_SO_LIMIT) -> bool:
     """Standard satisfaction; ``env`` must cover the free variables, each
-    bound to an element of the structure or a set of elements."""
+    bound to an element of the structure or a set of elements.  A guarded
+    quantifier scans the universe once per value of its guard's other
+    variable, so ``structure.has`` must answer the same for the same
+    arguments throughout the call."""
     env = dict(env) if env else {}
     sorts = {var: isinstance(value, (set, frozenset)) for var, value in env.items()}
     run = _bind(structure, formula, sorts, so_limit)

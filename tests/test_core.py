@@ -5,7 +5,7 @@ from types import MemberDescriptorType
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nwtk import automata, core, sphere_automaton, spheres
+from nwtk import automata, core, grids, sphere_automaton, spheres
 from nwtk.core import (
     CallReturnAlphabet,
     NestedWord,
@@ -294,7 +294,7 @@ def test_slot_setters_store_the_field_they_are_named_after():
     # slot, by unpacking them in slot order; a name out of order would store
     # a field into another slot
     stored = {}
-    for module in (core, automata, spheres, sphere_automaton):
+    for module in (core, automata, spheres, sphere_automaton, grids):
         for name, value in vars(module).items():
             slot = getattr(value, "__self__", None)
             if isinstance(slot, MemberDescriptorType):
@@ -303,7 +303,7 @@ def test_slot_setters_store_the_field_they_are_named_after():
                 stored.setdefault(cls, set()).add(slot.__name__)
     assert {cls.__name__ for cls in stored} == {
         "CallReturnAlphabet", "NestedWord", "Mvpa", "Mnwa", "Sphere", "ExtendedSphere",
-        "SphereState",
+        "SphereState", "Grid",
     }
     assert all(fields == set(cls.__slots__) for cls, fields in stored.items())
 

@@ -53,6 +53,15 @@ class TestGrid:
         with pytest.raises(BoundsExceeded):
             Grid(1, -2)
 
+    def test_is_immutable(self):
+        g = Grid(2, 3)
+        for field in ("n", "m"):
+            with pytest.raises(AttributeError):
+                setattr(g, field, 5)
+            with pytest.raises(AttributeError):
+                delattr(g, field)
+        assert (g.n, g.m) == (2, 3) and g == Grid(2, 3) and hash(g) == hash(Grid(2, 3))
+
 
 class TestEncode:
     def test_three_by_four(self):

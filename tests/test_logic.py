@@ -1,5 +1,7 @@
 """Formula evaluation, the prefix parser, counting constraints, markers."""
 
+import collections
+import functools
 import json
 import random
 
@@ -8,7 +10,7 @@ import pytest
 from nwtk import logic
 from nwtk.automata import Mnwa, mnwa_accepts
 from nwtk.core import iter_token_tuples, nested
-from nwtk.grids import Grid, reduction_formulas
+from nwtk.grids import Grid, encode, reduction_formulas
 from nwtk.errors import (
     FormulaParseError,
     MixedRadius,
@@ -326,6 +328,171 @@ def test_eval_matches_independent_evaluator_on_grids():
                     checked += 1
     assert values == {True, False}
     assert checked == (16 + 40) * (1 + 16 + 36)
+
+
+# ---------------------------------------------------------------------------
+# guarded quantifiers
+
+def random_body(rng, unary, binary, fo, so, depth):
+    """A random formula over the variables ``fo`` and set variables ``so``,
+    with unary relations ``unary`` (names), binary relations ``binary``
+    (constructors) and quantifiers that may be guarded themselves."""
+    if depth == 0 or rng.random() < 0.3:
+        v, w = rng.choice(fo), rng.choice(fo)
+        kind = rng.choice(("unary", "binary", "eq", "in"))
+        if kind == "unary":
+            return Rel(rng.choice(unary), (v,))
+        if kind == "eq":
+            return Eq(v, w)
+        if kind == "in" and so:
+            return In(v, rng.choice(so))
+        return rng.choice(binary)(v, w)
+    choice = rng.random()
+    if choice < 0.25:
+        var = f"q{depth}"
+        quantifier = ExistsFO if rng.random() < 0.5 else Forall
+        return quantifier(var, random_body(rng, unary, binary, fo + (var,), so, depth - 1))
+    if choice < 0.4:
+        return Not(random_body(rng, unary, binary, fo, so, depth - 1))
+    combine = rng.choice((Or, And, Implies))
+    return combine(random_body(rng, unary, binary, fo, so, depth - 1),
+                   random_body(rng, unary, binary, fo, so, depth - 1))
+
+
+# each shape builds a quantifier over z guarded by R on x and z, from a body
+# maker phi(fo, so) free in those variables
+GUARD_SHAPES = {
+    "exists R(x, z) and": lambda R, phi: ExistsFO("z", And(R("x", "z"), phi(("x", "z"), ()))),
+    "exists R(z, x) and": lambda R, phi: ExistsFO("z", And(R("z", "x"), phi(("x", "z"), ()))),
+    "exists R(x, z)": lambda R, phi: ExistsFO("z", R("x", "z")),
+    "not exists R and": lambda R, phi: Not(ExistsFO("z", And(R("z", "x"), phi(("x", "z"), ())))),
+    "forall R implies": lambda R, phi: Forall("z", Implies(R("x", "z"), phi(("x", "z"), ()))),
+    "leftmost of three": lambda R, phi: ExistsFO(
+        "z", And(And(R("x", "z"), phi(("x", "z"), ())), phi(("x", "z"), ()))
+    ),
+    "inside exists-set": lambda R, phi: ExistsSO(
+        "X", And(Forall("z", Implies(R("z", "x"), phi(("x", "z"), ("X",)))), phi(("x",), ("X",)))
+    ),
+}
+
+
+def guarded_formula(rng, shape, binary, unary):
+    """A closed formula: ∃x or ∀x around the shape with a random guard
+    relation, beside a random formula on x."""
+    phi = functools.partial(random_body, rng, unary, binary, depth=2)
+    guarded = GUARD_SHAPES[shape](rng.choice(binary), phi)
+    other = phi(("x",), ())
+    body = rng.choice((And, Or, Implies))(guarded, other) if rng.random() < 0.5 else guarded
+    return (ExistsFO if rng.random() < 0.5 else Forall)("x", body)
+
+
+def test_guards_are_found():
+    # bodies as the compiler passes them: a universal's is the formula that
+    # must hold for every value
+    phi = Label("z", "a")
+    for body, universal, guard in [
+        (And(Succ("x", "z"), phi), False, ("succ", "x", False)),
+        (And(Match("z", "x"), phi), False, ("match", "x", True)),
+        (Succ("x", "z"), False, ("succ", "x", False)),
+        (And(And(Succ("x", "z"), phi), phi), False, ("succ", "x", False)),
+        (Implies(Succ("x", "z"), phi), True, ("succ", "x", False)),  # ∀z (R → φ)
+        (Or(Not(Match("z", "x")), Not(phi)), True, ("match", "x", True)),  # ¬∃z (R ∧ φ)
+        (Implies(And(Succ("x", "z"), phi), phi), True, ("succ", "x", False)),
+    ]:
+        assert logic._guard("z", body, universal) == guard, body
+
+
+def test_unguarded_shapes_are_not_guarded():
+    phi = Label("z", "a")
+    for body, universal in [
+        (And(phi, Succ("x", "z")), False),  # the relation is not evaluated first
+        (Or(Succ("x", "z"), phi), False),  # its falsity does not decide an Or
+        (Implies(phi, Not(Succ("x", "z"))), True),
+        (Succ("z", "z"), False),  # no other variable
+        (Succ("x", "y"), False),  # not on the quantified variable
+        (Rel("r", ("x", "z", "y")), False),  # not binary
+        (Succ("x", "z"), True),  # a universal needs the relation's negation
+    ]:
+        assert logic._guard("z", body, universal) is None, body
+
+
+def test_guarded_eval_matches_independent_evaluator_on_words():
+    # every S2C word to length 6, each shape in turn with a fresh formula
+    rng = random.Random(20261020)
+    values = {shape: set() for shape in GUARD_SHAPES}
+    shapes = list(GUARD_SHAPES)
+    for i, tokens in enumerate(iter_token_tuples(S2C, 6)):
+        w = nested(S2C, tokens)
+        shape = shapes[i % len(shapes)]
+        f = guarded_formula(rng, shape, (Succ, Match), [f"label:{c}" for c in S2C.symbols])
+        value = logic.eval(w, f)
+        assert value == eval2(w, f), (f, tokens)
+        values[shape].add(value)
+    assert all(seen == {True, False} for seen in values.values()), values
+
+
+def test_guarded_eval_matches_independent_evaluator_on_grids():
+    rng = random.Random(20261021)
+    values = {shape: set() for shape in GUARD_SHAPES}
+    successors = (lambda v, w: Rel("succ1", (v, w)), lambda v, w: Rel("succ2", (v, w)))
+    for n in range(1, 4):
+        for m in range(1, 4):
+            grid = Grid(n, m)
+            for shape in GUARD_SHAPES:
+                for _ in range(8):
+                    f = guarded_formula(rng, shape, successors, ("P_a", "P_b"))
+                    value = logic.eval(grid, f)
+                    assert value == eval2(grid, f), (f, (n, m))
+                    values[shape].add(value)
+    assert all(seen == {True, False} for seen in values.values()), values
+
+
+class TestGuardLaziness:
+    def test_unreached_unknown_guard_is_never_evaluated(self):
+        w = nested(S2, ("a", "a~"))
+        unknown = ExistsFO("z", And(Rel("nope", ("x", "z")), Label("z", "a")))
+        assert logic.eval(w, Or(Eq("x", "x"), unknown), env={"x": 1})
+        with pytest.raises(UnknownSymbol, match=r"^nested words have no relation 'nope'$"):
+            logic.eval(w, Or(Not(Eq("x", "x")), unknown), env={"x": 1})
+
+    def test_guard_of_the_wrong_arity_raises_when_reached(self):
+        guarded = ExistsFO("z", And(Rel("P_a", ("u", "z")), Eq("u", "z")))
+        with pytest.raises(
+            UnknownSymbol, match=r"^grids have no relation 'P_a' on 2 argument\(s\)$"
+        ):
+            logic.eval(Grid(2, 2), guarded, env={"u": (1, 1)})
+
+
+class CountingStructure:
+    """A structure that forwards to another and counts ``has`` calls by
+    relation name."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = collections.Counter()
+
+    def universe(self):
+        return self.inner.universe()
+
+    def has(self, name, args):
+        self.calls[name] += 1
+        return self.inner.has(name, args)
+
+
+def test_guarded_quantifier_scans_once_per_guard_value():
+    # ∃z (match(x1, z) ∧ succ(z, x2)) over every pair of the 4x8 grid word:
+    # one universe scan per value of x1 and one re-check per candidate
+    word = encode(4, 8).word
+    counting = CountingStructure(word)
+    succ2 = reduction_formulas()["succ2"]
+    run = logic._bind(counting, succ2, {"x1": False, "x2": False})
+    positions = list(word.positions())
+    assert len(positions) == 64
+    for p in positions:
+        for q in positions:
+            env = {"x1": p, "x2": q}
+            assert run(dict(env)) == eval2(word, succ2, env), env
+    assert counting.calls["match"] <= 2 * 64 * 64
 
 
 # ---------------------------------------------------------------------------
