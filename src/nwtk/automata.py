@@ -578,35 +578,6 @@ def _sorted(values) -> list:
     return values
 
 
-def automaton_to_json(a) -> dict:
-    """``a`` as a JSON document; a tuple name is written as an array."""
-    if isinstance(a, Mvpa):
-        return {
-            "kind": "mvpa",
-            "alphabet": alphabet_to_json(a.alphabet),
-            "states": _sorted(a.states),
-            "initial": _sorted(a.initial),
-            "final": _sorted(a.final),
-            "bottom": a.bottom,
-            "gamma": _sorted(a.gamma),
-            "delta_call": _sorted(map(list, a.delta_call)),
-            "delta_return": _sorted(map(list, a.delta_return)),
-            "delta_internal": _sorted(map(list, a.delta_internal)),
-        }
-    if isinstance(a, Mnwa):
-        return {
-            "kind": "mnwa",
-            "alphabet": alphabet_to_json(a.alphabet),
-            "states": _sorted(a.states),
-            "initial": _sorted(a.initial),
-            "final": _sorted(a.final),
-            "calling": _sorted(a.calling),
-            "delta1": _sorted(map(list, a.delta1)),
-            "delta2": _sorted(map(list, a.delta2)),
-        }
-    raise NwtkError(f"not an automaton: {a!r}")
-
-
 # a name, usable as a state, stack symbol or letter, is a JSON string,
 # integer or null, or an array of names, read as a tuple; booleans and
 # floats are not names, as True == 1 == 1.0 would merge distinct states
@@ -643,6 +614,24 @@ _JSON_SCHEMA = {
         },
     ),
 }
+
+
+def automaton_to_json(a) -> dict:
+    """``a`` as a JSON document, field by field as ``_JSON_SCHEMA`` lists
+    them: a name as it is, a list of names and a list of rows sorted; a
+    tuple name is written as an array."""
+    for kind, (cls, fields) in _JSON_SCHEMA.items():
+        if isinstance(a, cls):
+            data = {"kind": kind, "alphabet": alphabet_to_json(a.alphabet)}
+            for field, shape in fields.items():
+                value = getattr(a, field)
+                if shape == _NAMES:
+                    value = _sorted(value)
+                elif shape != _NAME:
+                    value = _sorted(map(list, value))
+                data[field] = value
+            return data
+    raise NwtkError(f"not an automaton: {a!r}")
 
 
 def _name(value):

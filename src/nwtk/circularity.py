@@ -3,19 +3,19 @@
 A direction string prescribes a walk: successor and predecessor steps, jumps
 from a call to its return, and jumps back from a return to its call, the
 latter two split by stack.  ``path_exists`` follows such a walk on a concrete
-word, optionally insisting that intermediate positions never repeat.  A
-string is circular if some word lets the strict walk return to its start;
-``circular_witness`` searches for such a word up to a length bound by
-backtracking over position layouts, since every direction pins down the
-symbol class of its source.  Witnesses are re-validated with ``path_exists``
-before they are reported.
+word, optionally insisting that intermediate positions never repeat; its
+jumps read the word's matching, not the labels.  A string is circular if
+some word lets the strict walk return to its start; ``circular_witness``
+searches for such a word up to a length bound by backtracking over position
+layouts, since every direction pins down the symbol class of its source.
+Witnesses are re-validated with ``path_exists`` before they are reported.
 """
 
 from __future__ import annotations
 
 import re
 
-from .core import CALL, RETURN, CallReturnAlphabet, NestedWord, nested
+from .core import CallReturnAlphabet, NestedWord, nested
 from .errors import (
     BoundTooSmall,
     EmptyWord,
@@ -42,8 +42,8 @@ CANONICAL_ALPHABET = CallReturnAlphabet(((("a",), ("a~",)), (("b",), ("b~",))))
 
 _DIRECTION_RE = re.compile(r"(fwd|bwd|jump|back)([1-9][0-9]*)?$")
 
-_CALL_OF = {1: "a", 2: "b"}
-_RETURN_OF = {1: "a~", 2: "b~"}
+_CALL_OF = dict(enumerate(CANONICAL_ALPHABET.calls(), start=1))
+_RETURN_OF = dict(enumerate(CANONICAL_ALPHABET.returns(), start=1))
 
 
 def _move(direction: str):
@@ -63,18 +63,16 @@ def parse_directions(text: str) -> tuple:
 
 
 def _step(word: NestedWord, p: int, kind: str, stack: int):
+    """Where one step leads from p, or None; a jump or back step follows the
+    matching edge at p if its call, the smaller end, is of ``stack``."""
     if kind == "fwd":
         return p + 1 if p < len(word) else None
     if kind == "bwd":
         return p - 1 if p > 1 else None
-    cls = word.alphabet.classify(word.labels[p - 1])
-    if kind == "jump":
-        if cls.kind == CALL and cls.stack == stack:
-            return word.mu.get(p)
+    q = (word._mu if kind == "jump" else word._mu_inv).get(p)
+    if q is None or word._stack_of[min(p, q)] != stack:
         return None
-    if cls.kind == RETURN and cls.stack == stack:
-        return word.mu_inv.get(p)
-    return None
+    return q
 
 
 def path_exists(word: NestedWord, w, i: int, distinct: bool = False) -> set:
@@ -130,7 +128,7 @@ def _realize(w, path, arcs):
     word = nested(CANONICAL_ALPHABET, [labels[g] for g in range(lo, hi + 1)])
     shift = 1 - lo
     for c, r, s in _arc_pairs(arcs):
-        if word.mu.get(c + shift) != r + shift:
+        if word._mu.get(c + shift) != r + shift:
             return None
     start = path[0] + shift
     if start in path_exists(word, w, start, distinct=True):

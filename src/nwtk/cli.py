@@ -18,14 +18,12 @@ import click
 from . import automata, circularity, core, grids, logic, sphere_automaton, spheres
 from .errors import NwtkError
 
-DEFAULT_ALPHABET = circularity.CANONICAL_ALPHABET
-
 _file = click.Path(exists=True, dir_okay=False)
 
 
 def _alphabet(path):
     if path is None:
-        return DEFAULT_ALPHABET
+        return circularity.CANONICAL_ALPHABET
     return core.load_alphabet(path)
 
 

@@ -323,22 +323,16 @@ def string(word: NestedWord) -> tuple[str, ...]:
 
 
 def is_well_formed(alphabet: CallReturnAlphabet, tokens, stack: int) -> bool:
-    """Whether the projection onto one stack's calls and returns is balanced."""
+    """Whether the projection onto one stack's calls and returns is balanced:
+    the word's matching, read off ``nested``, leaves no call or return of
+    that stack pending.  The empty sequence is balanced."""
     if not 1 <= stack <= alphabet.k:
         raise PositionOutOfRange(f"stack {stack} not in 1..{alphabet.k}")
-    classify = alphabet.classify
-    depth = 0
-    for sym in tokens:
-        cls = classify(sym)
-        if cls.stack != stack:
-            continue
-        if cls.kind == CALL:
-            depth += 1
-        else:
-            depth -= 1
-            if depth < 0:
-                return False
-    return depth == 0
+    tokens = tuple(tokens)
+    if not tokens:
+        return True
+    word = nested(alphabet, tokens)
+    return all(alphabet.classify(tokens[p - 1]).stack != stack for p in word.pending)
 
 
 def distance(word: NestedWord, i: int, j: int) -> int:

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CallReturnAlphabet, NestedWord, _immutable, _slot_setters, nested
+from .circularity import CANONICAL_ALPHABET
+from .core import NestedWord, _immutable, _slot_setters, nested
 from .errors import AlphabetMismatch, BoundsExceeded, UnknownSymbol
 from .logic import (
     And,
@@ -48,7 +49,8 @@ __all__ = [
     "image_property_formulas",
 ]
 
-GRID_ALPHABET = CallReturnAlphabet(((("a",), ("a~",)), (("b",), ("b~",))))
+# the paper's two-stack alphabet a/a~, b/b~, as for direction strings
+GRID_ALPHABET = CANONICAL_ALPHABET
 
 VERIFY_CAP = 64
 
@@ -350,8 +352,10 @@ def image_property_formulas() -> dict:
     """The first-order part of the image's definition: ``total`` says every
     position is matched, and ``offsets`` states five implications over pairs
     of equally labeled matched calls.  With the block shape of the labels,
-    a regular condition, they define the set ``image_membership`` decides."""
-    total = Forall("x", ExistsFO("y", Or(Match("x", "y"), Match("y", "x"))))
+    a regular condition, they define the set ``image_membership`` decides.
+    Each quantifier over a partner yi opens with the ``Match`` that names
+    it, so the evaluator tries that one partner rather than every position."""
+    total = Forall("x", Or(ExistsFO("y", Match("x", "y")), ExistsFO("y", Match("y", "x"))))
 
     counter = [0]
 
@@ -380,9 +384,6 @@ def image_property_formulas() -> dict:
         z = fresh()
         return ExistsFO(z, And(Succ(v, z), Not(same_label(v, z))))
 
-    premise = And(
-        same_label("x1", "x2"), And(Match("x1", "y1"), Match("x2", "y2"))
-    )
     clauses = And(
         And(
             Implies(And(Label("x1", "a"), dist1("x1", "x2")), dist12("y2", "y1")),
@@ -400,8 +401,9 @@ def image_property_formulas() -> dict:
             ),
         ),
     )
-    offsets = Forall(
-        "x1",
-        Forall("x2", Forall("y1", Forall("y2", Implies(premise, clauses)))),
-    )
+    offsets = Forall("x1", Forall("y1", Implies(
+        Match("x1", "y1"),
+        Forall("x2", Forall("y2", Implies(
+            Match("x2", "y2"), Implies(same_label("x1", "x2"), clauses)))),
+    )))
     return {"total": total, "offsets": offsets}

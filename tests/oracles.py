@@ -134,6 +134,35 @@ def declarative_matches(alphabet, tokens):
     return sorted(out)
 
 
+def walk(alphabet, tokens, start, directions, distinct=False) -> set:
+    """End positions of a direction walk, read off ``declarative_matches``:
+    fwd/bwd move by one, jumpK goes from a call of stack K to its return,
+    backK from a return of stack K to its call.  With ``distinct`` every
+    position before the last must be new and the last may only be the
+    start again."""
+    edges = {}
+    for c, r, s in declarative_matches(alphabet, tokens):
+        edges[("jump", s, c)] = r
+        edges[("back", s, r)] = c
+    path = [start]
+    for d in directions:
+        p = path[-1]
+        if d == "fwd":
+            q = p + 1 if p < len(tokens) else None
+        elif d == "bwd":
+            q = p - 1 if p > 1 else None
+        else:
+            q = edges.get((d[:4], int(d[4:]), p))
+        if q is None:
+            return set()
+        path.append(q)
+    if distinct and (
+        len(set(path[:-1])) < len(path) - 1 or path[-1] in path[1:-1]
+    ):
+        return set()
+    return {path[-1]}
+
+
 def distances_by_search(alphabet, tokens):
     """Shortest-path length of every pair of positions, keyed (i, j), over
     successor edges and the pairs of ``declarative_matches``, one plain

@@ -558,6 +558,58 @@ def test_json_round_trips():
         assert automaton_from_json(json.dumps(data)).states == a.states
 
 
+_S2_DOC = {
+    "stacks": [{"calls": ["a"], "returns": ["a~"]}, {"calls": ["b"], "returns": ["b~"]}],
+    "internal": [],
+}
+
+
+def test_json_documents_are_pinned():
+    # the reader mirrors the writer, so a round trip alone cannot catch a
+    # writer that drops or mangles a field
+    assert automaton_to_json(loop_mvpa()) == {
+        "kind": "mvpa",
+        "alphabet": _S2_DOC,
+        "states": ["q0", "q1", "q2", "q3", "q4"],
+        "gamma": ["$"],
+        "bottom": "#",
+        "initial": ["q0"],
+        "final": ["q0"],
+        "delta_call": [
+            ["q0", "a", "$", "q2"],
+            ["q1", "a", "$", "q2"],
+            ["q2", "b", "$", "q1"],
+            ["q2", "b", "$", "q3"],
+        ],
+        "delta_return": [
+            ["q3", "a~", "#", "q4"],
+            ["q3", "a~", "$", "q3"],
+            ["q4", "b~", "#", "q0"],
+            ["q4", "b~", "$", "q4"],
+        ],
+        "delta_internal": [],
+    }
+    assert automaton_to_json(loop_mnwa()) == {
+        "kind": "mnwa",
+        "alphabet": _S2_DOC,
+        "states": ["q0", "q1", "q2", "q3", "q4"],
+        "initial": ["q0"],
+        "final": ["q0"],
+        "delta1": [
+            ["q0", "a", "q2"],
+            ["q1", "a", "q2"],
+            ["q2", "b", "q1"],
+            ["q2", "b", "q3"],
+            ["q3", "a~", "q4"],
+            ["q4", "b~", "q0"],
+        ],
+        "delta2": [["q1", "q4", "b~", "q4"], ["q2", "q3", "a~", "q3"], ["q3", "q4", "b~", "q4"]],
+        "calling": [],
+    }
+    with pytest.raises(NwtkError):
+        automaton_to_json(object())
+
+
 def test_json_rejects_unknown_kind():
     with pytest.raises(NwtkError):
         automaton_from_json({"kind": "dfa", "alphabet": {"stacks": []}})

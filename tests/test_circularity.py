@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -26,14 +27,17 @@ from fixtures import (
     CIRC2,
     NONCIRC,
     S2,
+    S3,
     WALK10,
     WALK12_3,
     word10,
     word12,
     word12_3,
 )
+from oracles import declarative_matches, walk as declarative_walk
 
 DIRS2 = ("fwd", "bwd", "jump1", "back1", "jump2", "back2")
+DIRS3 = DIRS2 + ("jump3", "back3")
 
 
 class TestParse:
@@ -98,6 +102,34 @@ class TestPathExists:
             for i in w.positions():
                 strict = path_exists(w, walk, i, distinct=True)
                 assert strict <= path_exists(w, walk, i)
+
+    def test_agrees_with_the_declarative_walk(self):
+        rng = random.Random(20)
+        pending_calls = pending_returns = 0
+        taken = Counter()
+        for _ in range(3000):
+            tokens = tuple(rng.choice(S3.symbols) for _ in range(rng.randint(1, 5)))
+            w = nested(S3, tokens)
+            i = rng.randint(1, len(tokens))
+            directions = [rng.choice(DIRS3) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                # open with the jump or back step of the start's own stack
+                # (S3.symbols runs a, a~, b, b~, c, c~)
+                s = S3.symbols.index(tokens[i - 1])
+                directions[0] = ("jump", "back")[s % 2] + str(s // 2 + 1)
+            for distinct in (False, True):
+                expected = declarative_walk(S3, tokens, i, directions, distinct)
+                assert path_exists(w, directions, i, distinct) == expected, (tokens, directions, i)
+                if expected:
+                    taken.update(directions)
+            matched = {p for c, r, _ in declarative_matches(S3, tokens) for p in (c, r)}
+            unmatched = [tokens[p - 1] for p in w.positions() if p not in matched]
+            pending_calls += any(t in S3.calls() for t in unmatched)
+            pending_returns += any(t in S3.returns() for t in unmatched)
+        # the sample holds pending calls and returns, and walks that take
+        # each stack's matching edges both ways
+        assert min(pending_calls, pending_returns) > 1000
+        assert min(taken[d] for d in DIRS3) > 20, taken
 
 
 class TestCircularity:

@@ -92,6 +92,12 @@ class TestWellFormed:
         with pytest.raises(UnknownSymbol):
             is_well_formed(S2, ("a", "z"), 1)
 
+    def test_unknown_symbol_after_an_unmatched_return(self):
+        # the whole sequence is read, as by every other reader of tokens,
+        # even where its prefix already settles the answer
+        with pytest.raises(UnknownSymbol):
+            is_well_formed(S2, ("a~", "z"), 1)
+
     def test_matches_grammar_oracle(self):
         for tokens in iter_token_tuples(S2C, 6):
             for s in (1, 2):

@@ -234,6 +234,28 @@ class TestImage:
             )
             assert image_membership(w) == logical, w.labels
 
+    def test_image_formulas_try_only_partners(self):
+        # each quantifier over a partner is guarded by its Match, so the
+        # 4x4 word (32 positions) costs thousands of relation queries, not
+        # the millions of an n^4 walk over all quadruples
+        word = encode(4, 4).word
+
+        class Counting:
+            calls = 0
+
+            def universe(self):
+                return word.universe()
+
+            def has(self, name, args):
+                self.calls += 1
+                return word.has(name, args)
+
+        fs = image_property_formulas()
+        counting = Counting()
+        assert logic.eval(counting, fs["total"])
+        assert logic.eval(counting, fs["offsets"])
+        assert counting.calls <= 20_000
+
     def test_total_matching_formula(self):
         fs = image_property_formulas()
         for tokens in iter_token_tuples(GRID_ALPHABET, 4):
