@@ -355,25 +355,31 @@ def mnwa_accepts(b: Mnwa, word) -> bool:
 
 
 def mvpa_to_mnwa(a: Mvpa) -> Mnwa:
-    """Language-preserving conversion; the state (q, A) remembers the last
-    pushed symbol A."""
-    symbols = (*a.gamma, a.bottom)
-    delta1 = set()
-    delta2 = set()
-    for q, x, A2, q2 in a.delta_call:
-        for A in symbols:
-            delta1.add(((q, A), x, (q2, A2)))
+    """Language-preserving conversion; the state (q, A) is q entered by a
+    call that pushed A, and (q, bottom) is q that no call entered.
+
+    Only the state after a call is saved for its return, so a row reads from
+    (q, A) only where A is the bottom symbol or a letter some call pushes
+    into q, a step that is not a call enters (q2, bottom), and a matched
+    return that pops B pairs only with the states (p, B) a call enters."""
+    bottom = a.bottom
+    symbols = (*a.gamma, bottom)
+    entered = {q: [bottom] for q in a.states}  # q -> the letters A of a live (q, A)
+    saved = {A: [] for A in symbols}  # B -> the live states (p, B) after a call
+    for _, _, A2, q2 in a.delta_call:
+        if A2 not in entered[q2]:
+            entered[q2].append(A2)
+            saved[A2].append((q2, A2))
+    delta1 = {((q, A), x, (q2, A2)) for q, x, A2, q2 in a.delta_call for A in entered[q]}
     blind = [(q, x, q2) for q, x, q2 in a.delta_internal]
-    blind += [(q, x, q2) for q, x, A, q2 in a.delta_return if A == a.bottom]
-    for q, x, q2 in blind:
-        for A in symbols:
-            for A2 in symbols:
-                delta1.add(((q, A), x, (q2, A2)))
-    for q, x, B, q2 in a.delta_return:
-        for p in a.states:
-            for A in symbols:
-                for A2 in symbols:
-                    delta2.add(((p, B), (q, A), x, (q2, A2)))
+    blind += [(q, x, q2) for q, x, A, q2 in a.delta_return if A == bottom]
+    delta1.update(((q, A), x, (q2, bottom)) for q, x, q2 in blind for A in entered[q])
+    delta2 = {
+        (p, (q, A), x, (q2, bottom))
+        for q, x, B, q2 in a.delta_return
+        for p in saved[B]
+        for A in entered[q]
+    }
     return Mnwa(
         a.alphabet,
         [(q, A) for q in a.states for A in symbols],

@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import CallReturnAlphabet
+from .core import CallReturnAlphabet, _immutable, _slot_setters
 from .errors import (
     FormulaParseError,
     MixedRadius,
@@ -498,6 +498,8 @@ class CompiledConstraint:
     with a counter that saturates one past the threshold.
     """
 
+    __slots__ = ("expr", "radius")
+
     def __init__(self, expr, radius: int):
         for atom in _atoms(expr):
             if atom.sphere.radius != radius:
@@ -506,8 +508,10 @@ class CompiledConstraint:
                 )
             if atom.t < 0:
                 raise FormulaParseError("thresholds must be non-negative")
-        self.expr = expr
-        self.radius = radius
+        _CompiledConstraint_expr(self, expr)
+        _CompiledConstraint_radius(self, radius)
+
+    __setattr__ = __delattr__ = _immutable
 
     def accepts(self, word) -> bool:
         keys = _keys(word, self.radius)
@@ -531,6 +535,9 @@ class CompiledConstraint:
             return ev(e.left) or ev(e.right)
 
         return ev(self.expr)
+
+
+_CompiledConstraint_expr, _CompiledConstraint_radius = _slot_setters(CompiledConstraint)
 
 
 def compile_constraint(expr, r: int) -> CompiledConstraint:

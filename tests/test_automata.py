@@ -248,11 +248,16 @@ class TestMvpaToMnwa:
         b = mvpa_to_mnwa(loop_mvpa())
         assert len(b.states) == 10
 
-    def test_return_rows_forget_the_peer_symbol(self):
+    def test_writes_only_live_rows(self):
         b = mvpa_to_mnwa(loop_mvpa())
-        for alpha in ("$", "#"):
-            for alpha2 in ("$", "#"):
-                assert (("q2", "$"), ("q3", alpha), "a~", ("q3", alpha2)) in b.delta2
+        assert (len(b.states), len(b.delta1), len(b.delta2)) == (10, 10, 9)
+        calls = {row for row in b.delta1 if S2.classify(row[1]).kind == CALL}
+        assert all(q2[1] == "#" for q, x, q2 in b.delta1 - calls)
+        assert all(q2[1] == "#" for p, q, x, q2 in b.delta2)
+        entered = {q2 for q, x, q2 in calls}
+        assert {p for p, q, x, q2 in b.delta2} <= entered
+        assert (("q2", "$"), ("q3", "$"), "a~", ("q3", "#")) in b.delta2
+        assert (("q2", "$"), ("q3", "#"), "a~", ("q3", "$")) not in b.delta2
 
     def test_empty_delta(self):
         a = Mvpa(S2, ("q",), ("$",), "#", ("q",), ("q",), (), (), ())
@@ -435,6 +440,19 @@ class TestEngine:
                 verdict = mnwa_accepts(b, w)
                 assert mnwa_accepts(plain, w) == verdict, (k, tokens)
                 assert mvpa_accepts(stack, tokens) == verdict, (k, tokens)
+
+    @pytest.mark.parametrize("alphabet, n", [(S2, 5), (S2C, 5), (S3, 4)], ids=["S2", "S2C", "S3"])
+    def test_mvpa_to_mnwa_agrees_with_stepping(self, alphabet, n):
+        rng = random.Random(37)
+        verdicts = set()
+        for k in range(4):
+            a = random_mvpa(rng, alphabet, n_states=4)
+            b = mvpa_to_mnwa(a)
+            for tokens in iter_token_tuples(alphabet, n):
+                verdict = accepts_by_stepping(a, tokens)
+                assert mnwa_accepts(b, nested(alphabet, tokens)) == verdict, (k, tokens)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 def test_automata_are_immutable():

@@ -543,6 +543,16 @@ class TestConstraints:
         with pytest.raises(MixedRadius):
             compile_constraint(CAnd(CountEq(a_singleton(), 0), CountGt(r1, 0)), 0)
 
+    def test_compiled_constraint_is_immutable(self):
+        acceptor = compile_constraint(CountGt(a_singleton(), 0), 0)
+        with pytest.raises(AttributeError):
+            acceptor.radius = 5
+        with pytest.raises(AttributeError):
+            del acceptor.expr
+        with pytest.raises(AttributeError):
+            acceptor.cache = {}
+        assert acceptor.radius == 0 and acceptor.accepts(nested(S2, ("a",)))
+
     def test_negative_threshold(self):
         with pytest.raises(FormulaParseError):
             compile_constraint(CountEq(a_singleton(), -1), 0)
