@@ -18,6 +18,7 @@ against it in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .circularity import CANONICAL_ALPHABET
 from .core import NestedWord, _immutable, _slot_setters, nested
@@ -108,12 +109,13 @@ _Grid_n, _Grid_m = _slot_setters(Grid)
 @dataclass(frozen=True)
 class GridEncoding:
     """A grid with its word, the cell-to-call map chi, and the two-copy
-    bijection chi_bar (copy 1 the call, copy 2 its return)."""
+    bijection chi_bar (copy 1 the call, copy 2 its return); both maps are
+    read-only views."""
 
     grid: Grid
     word: NestedWord
-    chi: dict
-    chi_bar: dict
+    chi: MappingProxyType
+    chi_bar: MappingProxyType
 
 
 def _tokens(n: int, m: int) -> tuple:
@@ -140,7 +142,7 @@ def encode(n: int, m: int) -> GridEncoding:
     for u, p in chi.items():
         chi_bar[(1, u)] = p
         chi_bar[(2, u)] = mu[p]
-    return GridEncoding(grid, word, chi, chi_bar)
+    return GridEncoding(grid, word, MappingProxyType(chi), MappingProxyType(chi_bar))
 
 
 def _false():
@@ -247,7 +249,7 @@ class ReductionReport:
     m: int
     ok: bool
     checked: int
-    failure: dict | None
+    failure: MappingProxyType | None
 
 
 def verify_reduction(n: int, m: int, formulas=None) -> ReductionReport:
@@ -263,13 +265,14 @@ def verify_reduction(n: int, m: int, formulas=None) -> ReductionReport:
             f"word has {2 * n * m} positions, verification cap is {VERIFY_CAP}"
         )
     enc = encode(n, m)
-    grid, word, chi, chi_bar = enc.grid, enc.word, enc.chi, enc.chi_bar
+    grid, word, chi_bar = enc.grid, enc.word, enc.chi_bar
+    chi = dict(enc.chi)  # the grid rows look it up per tuple: a plain dict
     fs = formulas if formulas is not None else reduction_formulas()
     cells = grid.universe()
     checked = 0
 
     def report(failure):
-        return ReductionReport(n, m, False, checked, failure)
+        return ReductionReport(n, m, False, checked, MappingProxyType(failure))
 
     values = sorted(chi_bar.values())
     if values != list(word.positions()):

@@ -26,7 +26,7 @@ from types import MappingProxyType
 
 from .core import _bfs, _immutable, _slot_setters
 from .errors import InvalidState, LengthMismatch
-from .spheres import Sphere, _cached, _keys, _records, _sphere_of
+from .spheres import Sphere, _records, _sphere_of
 
 __all__ = [
     "ExtendedSphere",
@@ -50,16 +50,14 @@ class ExtendedSphere:
     edge is absent or leaves the ball), ``dist`` is its distance from the
     center, and the key is (core key, the active node's index, color).
 
-    The ``Sphere`` itself is built from the record on the first read of
-    ``core`` and kept (threads racing on that read may each build an equal
-    one; one is kept); ``active`` maps the index back to the node.  The
-    record is shared with the word's cache and other members: read only."""
+    The record is private, shared with the word's cache and other members:
+    ``core`` wraps it in a ``Sphere`` on each read, without a traversal,
+    ``active`` maps the index back to the node, and ``color`` is the key's."""
 
-    __slots__ = ("record", "color", "key", "nbrs", "dist", "_core")
+    __slots__ = ("_record", "key", "nbrs", "dist")
 
     def __init__(self, core: Sphere, active, color: int):
-        self._fill(core.record, active, core.adj[active], color)
-        _ExtendedSphere_core(self, core)
+        self._fill(core._record, active, core.adj[active], color)
 
     def _fill(self, record, active, near, color: int):
         """Set the fields from a ball record, the active node, its four
@@ -68,7 +66,6 @@ class ExtendedSphere:
         index_of, dist, key = record
         k = index_of[active]
         _ExtendedSphere_record(self, record)
-        _ExtendedSphere_color(self, color)
         _ExtendedSphere_key(self, (key, k, color))
         _ExtendedSphere_nbrs(self, tuple(map(index_of.get, near)))
         _ExtendedSphere_dist(self, dist[active])
@@ -77,35 +74,34 @@ class ExtendedSphere:
     __setattr__ = __delattr__ = _immutable
 
     @property
+    def color(self) -> int:
+        return self.key[2]
+
+    @property
     def core(self) -> Sphere:
-        try:
-            return self._core
-        except AttributeError:
-            core = _sphere_of(self.record)
-            _ExtendedSphere_core(self, core)
-            return core
+        return _sphere_of(self._record)
 
     @property
     def active(self):
-        return list(self.record[0])[self.key[1]]
+        return list(self._record[0])[self.key[1]]
 
     def key_at(self, node):
         """Key of the same sphere re-pointed to another active node."""
-        return (self.key[0], self.record[0][node], self.color)
+        return (self.key[0], self._record[0][node], self.color)
 
     def __repr__(self):
-        center = next(iter(self.record[0]))
+        center = next(iter(self._record[0]))
         return f"ExtendedSphere(center={center}, active={self.active}, color={self.color})"
 
 
-(_ExtendedSphere_record, _ExtendedSphere_color, _ExtendedSphere_key, _ExtendedSphere_nbrs,
- _ExtendedSphere_dist, _ExtendedSphere_core) = _slot_setters(ExtendedSphere)
+(_ExtendedSphere_record, _ExtendedSphere_key, _ExtendedSphere_nbrs,
+ _ExtendedSphere_dist) = _slot_setters(ExtendedSphere)
 
 
 class SphereState:
     """A set of extended spheres (possibly empty), deduplicated up to isomorphism."""
 
-    __slots__ = ("members", "key", "core_groups", "label", "valid", "final", "calling")
+    __slots__ = ("members", "key", "_core_groups", "label", "valid", "final", "calling")
 
     def __init__(self, members):
         by_key = {}
@@ -141,6 +137,10 @@ class SphereState:
 
     __setattr__ = __delattr__ = _immutable
 
+    @property
+    def core_groups(self) -> MappingProxyType:
+        return MappingProxyType(self._core_groups)
+
     def __eq__(self, other):
         return isinstance(other, SphereState) and self.key == other.key
 
@@ -172,7 +172,7 @@ def _moves_land(src, slot, nxt, r) -> bool:
     ``slot`` of its ``nbrs`` into ``nxt``: 0, successor out, for conditions
     (5), (7) and (3); 2, matching out, for the primed ones."""
     nxt_keys = nxt.key
-    nxt_groups = nxt.core_groups
+    nxt_groups = nxt._core_groups
     for e in src.members:
         core_key, _, color = e.key
         u = e.nbrs[slot]
@@ -274,12 +274,12 @@ def chi_coloring(word, r: int) -> OverlapColoring:
     """The overlap coloring of the word at radius r: each position takes the
     least color that no earlier overlap neighbour holds.  It is computed once
     per word and radius and kept in the one-word cache of ``spheres`` beside
-    the key list, so later calls on the same word return the same object."""
-    word_adj, _, _, _, colorings = _cached(word, r)
+    the ball records, so later calls on the same word return the same object."""
+    word_adj, records, colorings = _records(word, r)
     coloring = colorings.get(r)
     if coloring is not None:
         return coloring
-    adj = _overlap_adjacency(word_adj, r, _keys(word, r))
+    adj = _overlap_adjacency(word_adj, r, [ball[2] for ball in records])
     colors: dict = {}
     for i in range(1, len(word) + 1):
         used = {colors[j] for j in adj[i] if j in colors}
@@ -305,7 +305,7 @@ def canonical_run(word, r: int) -> list[SphereState]:
     and radius is read, not recomputed.  Members are built over the word's
     cached ball records; no ``Sphere`` is built until one is read."""
     colors = chi_coloring(word, r).colors
-    word_adj, records = _records(word, r)
+    word_adj, records, _ = _records(word, r)
     states = []
     for i, (centers, _, _) in enumerate(records, 1):
         near = word_adj[i]

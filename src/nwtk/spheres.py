@@ -50,17 +50,18 @@ v to v + 1 and each matching edge a call to a later return.
 Each ball is traversed once per word, position and radius.  A one-word
 cache holds the most recent word (matched by identity; words are
 immutable), its neighbour table and labels and, per radius, the records
-of its positions, each filled in on first use, their key list once all
-are, and the overlap coloring that ``sphere_automaton.chi_coloring``
-computes from that key list; ``canonical_run`` reads its colors and its
-members' records there.
+of its positions, each filled in on first use, and the overlap coloring
+that ``sphere_automaton.chi_coloring`` computes from their keys;
+``canonical_run`` reads its colors and its members' records there.
 The word's entry and each record are written as one tuple, so threads
-working on different words only evict each other and recompute.
+working on different words only evict each other and recompute.  Spheres
+and members share a record but keep it private behind read-only views.
 """
 
 from __future__ import annotations
 
 import json
+from types import MappingProxyType
 
 from .core import _bfs, _immutable, _slot_setters, _word_adj, iter_token_tuples, nested
 from .errors import InvalidSphere, PositionOutOfRange, RadiusMismatch
@@ -97,10 +98,10 @@ class Sphere:
     successor-out, successor-in, matching-out and matching-in neighbour,
     None where that edge is absent; stack tags are read from ``mu``.
     ``labels``, ``adj``, ``succ`` and ``mu`` are built on each read;
-    ``index_of`` and ``dist`` are the record's own dicts: read only.
+    ``index_of`` and ``dist`` are read-only views of the record's dicts.
     """
 
-    __slots__ = ("record",)
+    __slots__ = ("_record",)
 
     def __init__(self, nodes, labels, succ, mu, center, radius):
         nodes = tuple(sorted(nodes))
@@ -149,37 +150,37 @@ class Sphere:
     __setattr__ = __delattr__ = _immutable
 
     @property
-    def index_of(self) -> dict:
-        return self.record[0]
+    def index_of(self) -> MappingProxyType:
+        return MappingProxyType(self._record[0])
 
     @property
-    def dist(self) -> dict:
-        return self.record[1]
+    def dist(self) -> MappingProxyType:
+        return MappingProxyType(self._record[1])
 
     @property
     def key(self) -> tuple:
-        return self.record[2]
+        return self._record[2]
 
     @property
     def radius(self) -> int:
-        return self.record[2][0]
+        return self._record[2][0]
 
     @property
     def center(self):
-        return next(iter(self.record[0]))
+        return next(iter(self._record[0]))
 
     @property
     def nodes(self) -> tuple:
-        return tuple(sorted(self.record[0]))
+        return tuple(sorted(self._record[0]))
 
     @property
     def labels(self) -> dict:
-        return dict(zip(self.record[0], self.record[2][1]))
+        return dict(zip(self._record[0], self._record[2][1]))
 
     def _edges(self):
         """The key's edges as (u, v, kind) over nodes instead of visiting indices."""
-        order = list(self.record[0])
-        return [(order[i], order[j], kind) for i, j, kind in self.record[2][2]]
+        order = list(self._record[0])
+        return [(order[i], order[j], kind) for i, j, kind in self._record[2][2]]
 
     @property
     def succ(self) -> tuple:
@@ -199,7 +200,7 @@ class Sphere:
         return {v: tuple(a) for v, a in slots.items()}
 
     def size(self) -> int:
-        return len(self.record[0])
+        return len(self._record[0])
 
     def __repr__(self):
         labels = self.labels
@@ -250,24 +251,23 @@ def _ball(center, adj, stack_of, labels, r: int, limit: int):
     return index_of, dist, (r, tuple([labels[v] for v in order]), tuple(edges))
 
 
-# (word, neighbour table, labels, {radius: [record of i at i - 1]}, {radius: key list},
-#  {radius: overlap coloring})
-_recent = (None, None, None, {}, {}, {})
+# (word, neighbour table, labels, {radius: [record of i at i - 1]}, {radius: overlap coloring})
+_recent = (None, None, None, {}, {})
 
 
 def _cached(word, r: int):
-    """The word's neighbour table, labels, radius-r record slots, key lists and
-    colorings, evicting others."""
+    """The word's neighbour table, labels, radius-r record slots and colorings,
+    evicting others."""
     global _recent
     if r < 0:
         raise InvalidSphere("radius must be non-negative")
-    recent_word, adj, labels, table, key_lists, colorings = _recent
+    recent_word, adj, labels, table, colorings = _recent
     if recent_word is not word:
         adj, labels = _word_adj(word), (None, *word.labels)
-        table, key_lists, colorings = {}, {}, {}
-        _recent = (word, adj, labels, table, key_lists, colorings)
+        table, colorings = {}, {}
+        _recent = (word, adj, labels, table, colorings)
     slots = table.get(r) or table.setdefault(r, [None] * len(word.labels))
-    return adj, labels, slots, key_lists, colorings
+    return adj, labels, slots, colorings
 
 
 def _record(word, i: int, r: int):
@@ -275,7 +275,7 @@ def _record(word, i: int, r: int):
     n = len(word.labels)
     if not 1 <= i <= n:
         raise PositionOutOfRange(f"position {i} not in 1..{n}")
-    adj, labels, slots, _, _ = _cached(word, r)
+    adj, labels, slots, _ = _cached(word, r)
     ball = slots[i - 1]
     if ball is None:
         ball = slots[i - 1] = _ball(i, adj, word._stack_of, labels, r, r)
@@ -291,28 +291,23 @@ def _sphere_of(record) -> Sphere:
 
 
 def sphere(word, i: int, r: int) -> Sphere:
-    """Extract the radius-r sphere of a word around position i from its cached ball
-    record, whose ``index_of`` and ``dist`` dicts it shares: neither may be changed."""
+    """Extract the radius-r sphere of a word around position i from its cached ball record."""
     return _sphere_of(_record(word, i, r))
 
 
 def _records(word, r: int):
-    """The word's neighbour table and the radius-r records of all its positions,
-    position 1 first, each filled in on first use."""
-    adj, labels, slots, _, _ = _cached(word, r)
+    """The word's neighbour table, its radius-r records, position 1 first, each
+    filled in on first use, and its cached overlap colorings by radius."""
+    adj, labels, slots, colorings = _cached(word, r)
     for i, ball in enumerate(slots, 1):
         if ball is None:
             slots[i - 1] = _ball(i, adj, word._stack_of, labels, r, r)
-    return adj, slots
+    return adj, slots, colorings
 
 
 def _keys(word, r: int) -> list:
-    """Keys of every position at radius r, position 1 first: the cache's own list, built once."""
-    key_lists = _cached(word, r)[3]
-    keys = key_lists.get(r)
-    if keys is None:
-        keys = key_lists[r] = [ball[2] for ball in _records(word, r)[1]]
-    return keys
+    """Keys of every position at radius r, position 1 first."""
+    return [ball[2] for ball in _records(word, r)[1]]
 
 
 def sphere_key(word, i: int, r: int):

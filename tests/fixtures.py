@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from nwtk.automata import Mnwa, Mvpa
 from nwtk.core import CallReturnAlphabet, nested
 
@@ -19,6 +21,15 @@ S3 = CallReturnAlphabet(
 # every public field of a Sphere
 SPHERE_FIELDS = ("nodes", "labels", "succ", "mu", "center", "radius", "adj", "index_of",
                  "dist", "key")
+
+
+def sphere_fields(s) -> list:
+    """Every public field of a sphere, each read-only view taken as a dict, with
+    the visiting order held by index_of and dist."""
+    values = [getattr(s, name) for name in SPHERE_FIELDS]
+    return [dict(v) if isinstance(v, MappingProxyType) else v for v in values] + [
+        list(s.index_of), list(s.dist)]
+
 
 # the running-example word: (ab)^2 a~^3 b~^3
 WORD10 = "a b a b a~ a~ a~ b~ b~ b~"

@@ -1,11 +1,13 @@
 """Alphabets, nested words, matching, distance, and serialization."""
 
-from types import MemberDescriptorType
+import dataclasses
+import inspect
+from types import MappingProxyType, MemberDescriptorType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nwtk import automata, core, grids, sphere_automaton, spheres
+from nwtk import automata, circularity, core, grids, logic, sphere_automaton, spheres
 from nwtk.core import (
     CallReturnAlphabet,
     NestedWord,
@@ -30,7 +32,7 @@ from nwtk.errors import (
     UnknownSymbol,
 )
 
-from fixtures import S2, S2C, S3, WORD10, word10
+from fixtures import S2, S2C, S3, WORD10, loop_mnwa, loop_mvpa, word10
 from oracles import declarative_matches, distances_by_search, grammar_well_formed
 
 
@@ -300,7 +302,7 @@ def test_slot_setters_store_the_field_they_are_named_after():
     # slot, by unpacking them in slot order; a name out of order would store
     # a field into another slot
     stored = {}
-    for module in (core, automata, spheres, sphere_automaton, grids):
+    for module in (core, automata, spheres, sphere_automaton, grids, logic):
         for name, value in vars(module).items():
             slot = getattr(value, "__self__", None)
             if isinstance(slot, MemberDescriptorType):
@@ -309,9 +311,62 @@ def test_slot_setters_store_the_field_they_are_named_after():
                 stored.setdefault(cls, set()).add(slot.__name__)
     assert {cls.__name__ for cls in stored} == {
         "CallReturnAlphabet", "NestedWord", "Mvpa", "Mnwa", "Sphere", "ExtendedSphere",
-        "SphereState", "Grid",
+        "SphereState", "Grid", "CompiledConstraint",
     }
     assert all(fields == set(cls.__slots__) for cls, fields in stored.items())
+
+
+def _value_fixtures():
+    """One instance of each public class of the library, by class."""
+    a = spheres.sphere(nested(S2, ("a",)), 1, 0)
+    eq, count = logic.Eq("x", "y"), logic.CountGt(a, 0)
+    state = sphere_automaton.canonical_run(word10(), 1)[2]
+    # the word side of succ1 holds on (u, u): the report carries a failure
+    broken = {**grids.reduction_formulas(), "succ1": logic.Eq("x1", "x2")}
+    values = [
+        loop_mvpa(), loop_mnwa(), logic.Succ("x", "y"), eq, logic.In("x", "X"),
+        logic.Not(eq), logic.Or(eq, eq), logic.ExistsFO("x", eq), logic.ExistsSO("X", eq),
+        logic.CountEq(a, 1), count, logic.CAnd(count, count), logic.COr(count, count),
+        logic.compile_constraint(count, 0), spheres.sphere(word10(), 3, 1), state.members[0],
+        state, sphere_automaton.chi_coloring(word10(), 1), grids.Grid(2, 2), grids.encode(2, 2),
+        grids.verify_reduction(1, 1, broken), word10(), S2, S2.classify("a"),
+    ]
+    return {type(v): v for v in values}
+
+
+def _public_fields(cls) -> set:
+    names = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    for klass in cls.__mro__:
+        for name, attr in vars(klass).items():
+            if not name.startswith("_") and isinstance(attr, (property, MemberDescriptorType)):
+                names.add(name)
+    return names
+
+
+def test_value_types_share_no_mutable_state():
+    # every public class refuses assignment and deletion, and hands out
+    # each field as a hashable value, a read-only view or a fresh object
+    classes = {core.NestedWord, core.CallReturnAlphabet, core.SymbolClass}
+    for module in (automata, circularity, logic, spheres, sphere_automaton, grids):
+        classes.update(v for v in map(vars(module).get, module.__all__) if inspect.isclass(v))
+    fixtures = _value_fixtures()
+    assert classes == fixtures.keys()
+    for cls, value in fixtures.items():
+        names = _public_fields(cls)
+        assert names, cls
+        for name in sorted(names) + ["unknown"]:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        for name in names:
+            field = getattr(value, name)
+            if isinstance(field, MappingProxyType) or getattr(value, name) is not field:
+                continue
+            try:
+                hash(field)
+            except TypeError:
+                pytest.fail(f"{cls.__name__}.{name} is a shared mutable {type(field).__name__}")
 
 
 def test_word_keeps_its_own_maps():

@@ -19,7 +19,7 @@ from nwtk.sphere_automaton import (
 )
 from nwtk.spheres import max_size_bound, sphere, sphere_iso, sphere_key
 
-from fixtures import S2, S2C, S3, SPHERE_FIELDS, word10, word16
+from fixtures import S2, S2C, S3, sphere_fields, word10, word16
 
 
 def singleton_state(symbol, color=1):
@@ -321,14 +321,9 @@ class TestCanonicalRun:
                 delattr(value, name)
         assert state.valid and member.core.radius == 1
 
-    def test_members_build_their_sphere_on_first_read(self):
+    def test_members_build_their_sphere_on_each_read(self):
         """A member holds its ball record; ``core`` is that ball's sphere, built
-        once, and ``active`` is the position of the member's state."""
-
-        def fields(s):
-            return [getattr(s, name) for name in SPHERE_FIELDS] + [
-                list(s.index_of), list(s.dist)]
-
+        on each read, and ``active`` is the position of the member's state."""
         for w in (word10(), word16()):
             for r in (0, 1, 2):
                 colors = chi_coloring(w, r).colors
@@ -337,8 +332,8 @@ class TestCanonicalRun:
                     for m in state.members:
                         core = m.core
                         want = sphere(w, core.center, r)
-                        assert fields(core) == fields(want)
-                        assert m.core is core
+                        assert sphere_fields(core) == sphere_fields(want)
+                        assert sphere_fields(m.core) == sphere_fields(core)
                         assert m.active == i
                         assert m.key == (want.key, want.index_of[i], colors[core.center])
                         for name in ("core", "active"):
@@ -409,7 +404,7 @@ class TestBrRunVerify:
 class TestEta:
     def test_singleton(self):
         state = singleton_state("b~")
-        assert eta(state) is state.members[0].core
+        assert sphere_fields(eta(state)) == sphere_fields(state.members[0].core)
 
     def test_empty_state_placeholder(self):
         assert eta(EMPTY_STATE) is PLACEHOLDER_SPHERE

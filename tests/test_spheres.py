@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import nwtk.spheres as sphere_module
 from nwtk.core import iter_token_tuples, nested
 from nwtk.errors import InvalidSphere, PositionOutOfRange, RadiusMismatch
-from nwtk.sphere_automaton import canonical_run, chi_coloring
+from nwtk.sphere_automaton import br_run_verify, canonical_run, chi_coloring
 from nwtk.spheres import (
     Sphere,
     enumerate_spheres,
@@ -24,7 +24,7 @@ from nwtk.spheres import (
     sphere_to_json,
 )
 
-from fixtures import S2, S2C, S3, SPHERE_FIELDS, word10, word16
+from fixtures import S2, S2C, S3, sphere_fields, word10, word16
 from oracles import distances_by_search
 
 
@@ -309,11 +309,6 @@ class TestSortFreeKey:
                         assert sphere_key(w, i, r) == want, (tokens, i, r)
 
 
-def _fields(s):
-    """Every public field of a sphere, with the visiting order held by index_of and dist."""
-    return [getattr(s, name) for name in SPHERE_FIELDS] + [list(s.index_of), list(s.dist)]
-
-
 class TestSphereFromWord:
     """``sphere`` derives every field from its one traversal of the word;
     the validating constructor, given the same graph, and the JSON reader
@@ -328,7 +323,7 @@ class TestSphereFromWord:
                 for i in w.positions():
                     for r in (0, 1, 2, 3):
                         s = sphere(w, i, r)
-                        fields = _fields(s)
+                        fields = sphere_fields(s)
                         built = Sphere(
                             reversed(s.nodes),
                             s.labels,
@@ -337,9 +332,9 @@ class TestSphereFromWord:
                             i,
                             r,
                         )
-                        assert _fields(built) == fields, (tokens, i, r)
+                        assert sphere_fields(built) == fields, (tokens, i, r)
                         again = sphere_from_json(sphere_to_json(s))
-                        assert _fields(again) == fields, (tokens, i, r)
+                        assert sphere_fields(again) == fields, (tokens, i, r)
 
     def test_matches_the_word_graph(self):
         """``Sphere(...)`` over a ball's own graph, read from the word alone,
@@ -364,14 +359,24 @@ class TestSphereFromWord:
         for r in (0, 1, 2):
             for i in w.positions():
                 s = sphere(w, i, r)
-                want = copy.deepcopy(_fields(s))
+                want = copy.deepcopy(sphere_fields(s))
                 labels, adj = s.labels, s.adj
                 labels[i] = "z"
                 labels[0] = "z"
                 adj[i] = (0, 0, 0, 0)
                 adj[0] = (i, None, None, None)
-                assert _fields(s) == want
-                assert _fields(sphere(w, i, r)) == want
+                assert sphere_fields(s) == want
+                assert sphere_fields(sphere(w, i, r)) == want
+
+    def test_record_views_are_read_only(self):
+        # writing through a view would change the word's cached record, which
+        # the canonical run's members share
+        w = nested(S2, "a b a~ b~ a b".split())
+        s = sphere(w, 2, 1)
+        for view in (s.index_of, s.dist):
+            with pytest.raises(TypeError):
+                view[1], view[2] = view[2], view[1]
+        assert br_run_verify(w, 1, canonical_run(w, 1))
 
     def test_one_traversal_per_sphere(self, monkeypatch):
         bfs = sphere_module._bfs
